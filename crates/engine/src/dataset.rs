@@ -24,6 +24,7 @@
 //!   millions of records.
 
 use crate::{EngineError, Result};
+use dplearn_numerics::order::{merge_total, sort_total};
 use dplearn_numerics::sketch::{RankSketch, DEFAULT_SKETCH_K};
 
 /// How a dataset maintains its rank statistics.
@@ -93,7 +94,7 @@ impl SufficientStats {
         let backing = match mode {
             StatsMode::Exact => {
                 let mut sorted = values.to_vec();
-                sorted.sort_unstable_by(f64::total_cmp);
+                sort_total(&mut sorted);
                 StatsBacking::Exact { sorted }
             }
             StatsMode::Sketch { k } => {
@@ -206,25 +207,8 @@ impl SufficientStats {
         match &mut self.backing {
             StatsBacking::Exact { sorted } => {
                 let mut batch = values.to_vec();
-                batch.sort_unstable_by(f64::total_cmp);
-                let mut merged = Vec::with_capacity(sorted.len() + batch.len());
-                let (mut i, mut j) = (0, 0);
-                while i < sorted.len() && j < batch.len() {
-                    let (a, b) = (
-                        sorted.get(i).copied().unwrap_or(f64::NAN),
-                        batch.get(j).copied().unwrap_or(f64::NAN),
-                    );
-                    if f64::total_cmp(&a, &b) != std::cmp::Ordering::Greater {
-                        merged.push(a);
-                        i += 1;
-                    } else {
-                        merged.push(b);
-                        j += 1;
-                    }
-                }
-                merged.extend_from_slice(sorted.get(i..).unwrap_or(&[]));
-                merged.extend_from_slice(batch.get(j..).unwrap_or(&[]));
-                *sorted = merged;
+                sort_total(&mut batch);
+                *sorted = merge_total(sorted, &batch);
             }
             StatsBacking::Sketch { sketch } => sketch.extend_from_slice(values),
         }
@@ -239,24 +223,7 @@ impl SufficientStats {
     fn merge(&mut self, other: &SufficientStats) -> Result<()> {
         match (&mut self.backing, &other.backing) {
             (StatsBacking::Exact { sorted }, StatsBacking::Exact { sorted: theirs }) => {
-                let mut merged = Vec::with_capacity(sorted.len() + theirs.len());
-                let (mut i, mut j) = (0, 0);
-                while i < sorted.len() && j < theirs.len() {
-                    let (a, b) = (
-                        sorted.get(i).copied().unwrap_or(f64::NAN),
-                        theirs.get(j).copied().unwrap_or(f64::NAN),
-                    );
-                    if f64::total_cmp(&a, &b) != std::cmp::Ordering::Greater {
-                        merged.push(a);
-                        i += 1;
-                    } else {
-                        merged.push(b);
-                        j += 1;
-                    }
-                }
-                merged.extend_from_slice(sorted.get(i..).unwrap_or(&[]));
-                merged.extend_from_slice(theirs.get(j..).unwrap_or(&[]));
-                *sorted = merged;
+                *sorted = merge_total(sorted, theirs);
             }
             (StatsBacking::Sketch { sketch }, StatsBacking::Sketch { sketch: theirs }) => {
                 sketch.merge(theirs);

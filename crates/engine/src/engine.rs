@@ -571,15 +571,8 @@ impl Engine {
         let next_epoch = entry.dataset.epoch() + 1;
         let recorder = Arc::clone(&self.recorder);
         if let Some(log) = &mut self.wal {
-            log.append(
-                &WalRecord::DatasetAppended {
-                    dataset: name.to_string(),
-                    epoch: next_epoch,
-                    values: values.to_vec(),
-                },
-                recorder.as_ref(),
-            )
-            .map_err(EngineError::Durability)?;
+            log.append_dataset_batch(name, next_epoch, values, recorder.as_ref())
+                .map_err(EngineError::Durability)?;
         }
         let entry = self
             .datasets

@@ -24,6 +24,8 @@
 //! * [`integrate`] — Simpson and adaptive-Simpson quadrature.
 //! * [`stats`] — summary statistics, histograms, empirical CDFs, and
 //!   bootstrap confidence intervals.
+//! * [`order`] — the `f64` total order's sort and merge kernels, shared
+//!   by every rank structure.
 //! * [`sketch`] — deterministic mergeable rank/quantile sketches with
 //!   exactly-tracked worst-case error, for streaming sufficient
 //!   statistics.
@@ -56,6 +58,7 @@ pub mod integrate;
 #[allow(clippy::indexing_slicing)]
 pub mod linalg;
 pub mod optimize;
+pub mod order;
 pub mod rng;
 pub mod sketch;
 pub mod special;

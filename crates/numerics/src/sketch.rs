@@ -27,10 +27,23 @@
 //!    observed error against this declared bound — the bound is a
 //!    guarantee, not an estimate.
 //!
-//! Merging two sketches concatenates levels, adds the error bounds, and
-//! re-compacts; because compaction sorts under [`f64::total_cmp`] before
-//! halving, `merge(a, b)` and `merge(b, a)` produce bit-identical
-//! sketches.
+//! Between operations the levels keep three invariants, which make
+//! ingest and queries cheap without changing any answer:
+//!
+//! * level 0 is an unsorted buffer of fewer than `k` records, filled a
+//!   batch at a time;
+//! * every level ≥ 1 is sorted under [`f64::total_cmp`]: promoted runs
+//!   are merged into it ([`crate::order::merge_total`]), so compacting it
+//!   needs no sort;
+//! * a level compacts exactly when it reaches `k` items, so a batch
+//!   causes one compaction per overflow and leaves the same state as
+//!   inserting its records one at a time.
+//!
+//! Rank queries scan level 0 and binary-search every other level.
+//!
+//! Merging two sketches combines levels, adds the error bounds, and
+//! re-compacts; because levels are kept sorted under a total order,
+//! `merge(a, b)` and `merge(b, a)` produce bit-identical sketches.
 //!
 //! ```
 //! use dplearn_numerics::sketch::RankSketch;
@@ -46,6 +59,7 @@
 //! assert!(sk.retained() < 2_000); // vs 100_000 for a sorted copy
 //! ```
 
+use crate::order::{merge_total, sort_total};
 use crate::{NumericsError, Result};
 
 /// Default per-level capacity used by callers that do not tune `k`.
@@ -64,8 +78,8 @@ pub const DEFAULT_SKETCH_K: usize = 200;
 pub struct RankSketch {
     /// Per-level capacity before a compaction triggers.
     k: usize,
-    /// `levels[l]` holds items of weight `2^l`, in insertion order
-    /// (sorted only transiently during compaction).
+    /// `levels[l]` holds items of weight `2^l`. Level 0 is in arrival
+    /// order; every higher level is sorted under the total order.
     levels: Vec<Vec<f64>>,
     /// Exact number of inserted records (weights always sum to this).
     count: u64,
@@ -124,6 +138,13 @@ impl RankSketch {
         self.levels.iter().map(Vec::len).sum()
     }
 
+    /// The retained items level by level; each item of level `l` stands
+    /// for `2^l` records. Level 0 is in arrival order, every higher level
+    /// is sorted under [`f64::total_cmp`].
+    pub fn levels(&self) -> impl Iterator<Item = &[f64]> {
+        self.levels.iter().map(Vec::as_slice)
+    }
+
     /// Worst-case additive error of any [`rank`](RankSketch::rank)
     /// answer, tracked exactly: the sum of the per-item weights of every
     /// compaction performed so far. `0` until the first compaction, i.e.
@@ -134,17 +155,28 @@ impl RankSketch {
 
     /// Insert one record.
     pub fn insert(&mut self, x: f64) {
-        if let Some(l0) = self.levels.first_mut() {
-            l0.push(x);
-        }
-        self.count = self.count.saturating_add(1);
-        self.compact_cascade(0);
+        self.extend_from_slice(std::slice::from_ref(&x));
     }
 
-    /// Insert a batch of records in order.
+    /// Insert a batch of records in order. Level 0 takes the batch a
+    /// chunk at a time, each chunk filling it to capacity, so the
+    /// compactions — and the resulting sketch — are exactly those of
+    /// inserting the records one by one.
     pub fn extend_from_slice(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.insert(x);
+        let mut rest = xs;
+        while !rest.is_empty() {
+            let Some(l0) = self.levels.first_mut() else {
+                return;
+            };
+            let room = self.k.saturating_sub(l0.len()).max(1);
+            let (chunk, tail) = rest.split_at(room.min(rest.len()));
+            l0.extend_from_slice(chunk);
+            let full = l0.len() >= self.k;
+            self.count = self.count.saturating_add(chunk.len() as u64);
+            rest = tail;
+            if full {
+                self.compact_cascade();
+            }
         }
     }
 
@@ -154,12 +186,7 @@ impl RankSketch {
     /// NaN queries return 0 (no record compares ≤ NaN), matching the
     /// linear-scan `v <= x` filter the exact path uses.
     pub fn rank(&self, x: f64) -> u64 {
-        let mut total: u64 = 0;
-        for (l, level) in self.levels.iter().enumerate() {
-            let below = level.iter().filter(|&&v| v <= x).count() as u64;
-            total = total.saturating_add(below << l);
-        }
-        total
+        self.weighted_count(|v| v <= x)
     }
 
     /// Estimated `#{v < x}` — the strict (open) rank companion to
@@ -170,10 +197,28 @@ impl RankSketch {
     ///
     /// NaN queries return 0, matching the linear-scan `v < x` filter.
     pub fn rank_lt(&self, x: f64) -> u64 {
-        let mut total: u64 = 0;
-        for (l, level) in self.levels.iter().enumerate() {
-            let below = level.iter().filter(|&&v| v < x).count() as u64;
-            total = total.saturating_add(below << l);
+        self.weighted_count(|v| v < x)
+    }
+
+    /// Weighted count of retained items satisfying `below`, which must be
+    /// a comparison against a fixed query (`v <= x` or `v < x`).
+    fn weighted_count(&self, below: impl Fn(f64) -> bool) -> u64 {
+        let mut levels = self.levels.iter();
+        let mut total = levels
+            .next()
+            .map_or(0, |l0| l0.iter().filter(|&&v| below(v)).count() as u64);
+        for (l, level) in (1..).zip(levels) {
+            // In total order the negative NaNs lead a level and the
+            // positive NaNs trail it. No NaN satisfies `below`, so the
+            // matching items are the run right after the negative NaNs.
+            let negative_nan = |v: f64| v.is_nan() && v.is_sign_negative();
+            let skipped = match level.first() {
+                Some(&v) if negative_nan(v) => level.partition_point(|&v| negative_nan(v)),
+                _ => 0,
+            };
+            let run = level.get(skipped..).unwrap_or(&[]);
+            let n = run.partition_point(|&v| below(v)) as u64;
+            total = total.saturating_add(n << l);
         }
         total
     }
@@ -181,7 +226,8 @@ impl RankSketch {
     /// Merge another sketch into this one. The result summarizes the
     /// union of both streams; counts add, error bounds add, and the
     /// merged sketch is **bit-identical regardless of argument order**
-    /// (compaction sorts under a total order before halving).
+    /// (levels combine in sorted order under a total order before the
+    /// cascade halves them).
     ///
     /// The merged sketch keeps `self`'s capacity; merging a sketch built
     /// with a different `k` is permitted and simply re-compacts the
@@ -190,65 +236,54 @@ impl RankSketch {
         if other.levels.len() > self.levels.len() {
             self.levels.resize(other.levels.len(), Vec::new());
         }
-        for (l, level) in other.levels.iter().enumerate() {
-            if let Some(mine) = self.levels.get_mut(l) {
-                mine.extend_from_slice(level);
+        for (l, (mine, theirs)) in self.levels.iter_mut().zip(&other.levels).enumerate() {
+            if l == 0 {
+                // Sorting level 0 makes the merged state depend only on
+                // the multisets, not on which operand contributed first.
+                mine.extend_from_slice(theirs);
+                sort_total(mine);
+            } else {
+                *mine = merge_total(mine, theirs);
             }
         }
         self.count = self.count.saturating_add(other.count);
         self.error_bound = self.error_bound.saturating_add(other.error_bound);
         self.compactions = self.compactions.saturating_add(other.compactions);
-        // Canonicalize: sort every level so the merged state depends only
-        // on the multisets, not on which operand contributed first, then
-        // let the cascade restore the capacity invariant.
-        for level in &mut self.levels {
-            level.sort_unstable_by(f64::total_cmp);
-        }
-        self.compact_cascade(0);
+        self.compact_cascade();
     }
 
-    /// Compact levels `from..` until every level is within capacity.
-    fn compact_cascade(&mut self, from: usize) {
-        let mut l = from;
+    /// Compact levels bottom-up until every level is within capacity.
+    fn compact_cascade(&mut self) {
+        let mut l = 0;
         while l < self.levels.len() {
-            let len = self.levels.get(l).map_or(0, Vec::len);
-            if len < self.k.max(2) || len < 2 {
+            if self.levels.get(l).map_or(0, Vec::len) < self.k {
                 l += 1;
                 continue;
             }
             if l + 1 >= self.levels.len() {
                 self.levels.push(Vec::new());
             }
-            let mut buf = match self.levels.get_mut(l) {
-                Some(level) => std::mem::take(level),
-                None => break,
+            let Some(level) = self.levels.get_mut(l) else {
+                break;
             };
-            buf.sort_unstable_by(f64::total_cmp);
+            if l == 0 {
+                sort_total(level);
+            }
             // Compact an even number of items; an odd straggler stays at
             // this level (smallest item — a deterministic choice) with no
             // error contribution.
             let keep_parity = (self.compactions & 1) as usize;
             self.compactions = self.compactions.wrapping_add(1);
-            let start = buf.len() % 2;
-            let mut promoted: Vec<f64> = Vec::with_capacity(buf.len() / 2);
-            for (i, &v) in buf.iter().enumerate().skip(start) {
-                if (i - start) % 2 == keep_parity {
-                    promoted.push(v);
-                }
-            }
-            let straggler = if start == 1 {
-                buf.first().copied()
-            } else {
-                None
-            };
-            if let Some(level) = self.levels.get_mut(l) {
-                level.clear();
-                if let Some(s) = straggler {
-                    level.push(s);
-                }
-            }
+            let start = level.len() % 2;
+            let promoted: Vec<f64> = level
+                .iter()
+                .skip(start + keep_parity)
+                .step_by(2)
+                .copied()
+                .collect();
+            level.truncate(start);
             if let Some(next) = self.levels.get_mut(l + 1) {
-                next.extend_from_slice(&promoted);
+                *next = merge_total(next, &promoted);
             }
             // A compaction of weight-2^l items shifts any rank by ≤ 2^l.
             self.error_bound = self.error_bound.saturating_add(1u64 << l);

@@ -4,30 +4,49 @@
 //! sequences of recorder operations (generated *before* measurement, so
 //! generation's own allocations don't pollute the count) are replayed
 //! against a `NoopRecorder` and the allocation counter must not move.
+//!
+//! The counter is per thread: the test harness runs tests on parallel
+//! threads, and another test's allocations must not count against the
+//! thread under measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dplearn_telemetry::{NoopRecorder, Recorder, SpanTimer};
 use proptest::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation needs no lazy set-up, so touching the
+    // counter from inside the allocator cannot itself allocate.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only while the thread's locals are being torn
+    // down; allocations then belong to no measurement.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -108,9 +127,9 @@ proptest! {
             .collect();
         let recorder = NoopRecorder;
 
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let before = alloc_calls();
         let touched = replay(&ops, &recorder);
-        let after = ALLOC_CALLS.load(Ordering::SeqCst);
+        let after = alloc_calls();
 
         // `touched` keeps the loop observable so it cannot be optimized
         // away wholesale.
@@ -129,9 +148,9 @@ fn memory_recorder_is_allowed_to_allocate() {
     // Sanity check that the counter actually counts: the aggregating
     // recorder must show up in it.
     let r = dplearn_telemetry::MemoryRecorder::new();
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let before = alloc_calls();
     r.counter_add("c", "label", 1);
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let after = alloc_calls();
     assert!(
         after > before,
         "counting allocator failed to observe allocation"

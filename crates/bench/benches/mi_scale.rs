@@ -13,6 +13,11 @@
 //! * `leakage` — min-entropy leakage: the boxed column-major
 //!   `posterior_vulnerability` scan (the naive O(n²) pass with a full
 //!   row-stride jump per cell) vs the flat column-tiled kernel.
+//! * `realized_eps` — the realized ε of a 64-row Gibbs-selection
+//!   channel (E14's shape): the boxed pairwise `max_row_log_ratio` (a
+//!   division and a logarithm per row pair and column) vs
+//!   `FlatChannel::max_row_log_ratio_blocked`, which drops provably
+//!   dominated columns in one pass before the pairwise scan.
 //!
 //! Alphabets default to 1024/4096/10240; above
 //! `DPLEARN_BENCH_MI_SCALE_NAIVE_CAP` (default 8192) the naive
@@ -37,6 +42,8 @@ use dplearn::infotheory::blahut_arimoto::{
 use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::leakage::min_entropy_leakage_bits;
 use dplearn::infotheory::InfoError;
+use dplearn::numerics::rng::{Rng, Xoshiro256};
+use dplearn::numerics::special::log_sum_exp;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -97,6 +104,26 @@ fn scale_channel(n: usize) -> FlatChannel {
         }
     }
     FlatChannel::new(input, kernel, n).unwrap()
+}
+
+/// Rows of the realized-ε channel: E14's secret count.
+const EPS_ROWS: usize = 64;
+
+/// E14's Gibbs-selection channel: [`EPS_ROWS`] rows
+/// `p(θ|x) ∝ exp(s_x(θ))` over `n` hypotheses, scores uniform in [0, 1),
+/// so every row log-ratio is below 2.
+fn gibbs_channel(n: usize) -> FlatChannel {
+    let mut rng = Xoshiro256::seed_from(n as u64);
+    let mut kernel = Vec::with_capacity(EPS_ROWS * n);
+    let mut logits = vec![0.0f64; n];
+    for _ in 0..EPS_ROWS {
+        for l in &mut logits {
+            *l = rng.next_f64();
+        }
+        let lse = log_sum_exp(&logits);
+        kernel.extend(logits.iter().map(|l| (l - lse).exp()));
+    }
+    FlatChannel::new(vec![1.0 / EPS_ROWS as f64; EPS_ROWS], kernel, n).unwrap()
 }
 
 fn ba_problem(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
@@ -233,6 +260,32 @@ fn main() {
                      \"tiled_seconds\": {leak_tiled:.6}, \"tiled_speedup\": {}",
                     fmt_opt(leak_naive),
                     fmt_opt(leak_naive.map(|s| s / leak_tiled)),
+                ),
+            });
+        }
+
+        for &n in &sizes {
+            let flat = gibbs_channel(n);
+            let boxed = (n <= naive_cap).then(|| flat.to_channel().unwrap());
+            if boxed.is_none() {
+                println!("realized_eps: skipping naive reference at n={n} (> cap {naive_cap})");
+            }
+            let eps_naive = boxed.as_ref().map(|ch| {
+                median_secs(reps, || {
+                    black_box(ch.max_row_log_ratio());
+                })
+            });
+            let eps_tiled = median_secs(reps, || {
+                black_box(flat.max_row_log_ratio_blocked(TILE).unwrap());
+            });
+            rows.push(Row {
+                section: "realized_eps",
+                threads,
+                fields: format!(
+                    "\"alphabet\": {n}, \"rows\": {EPS_ROWS}, \"naive_seconds\": {}, \
+                     \"tiled_seconds\": {eps_tiled:.6}, \"tiled_speedup\": {}",
+                    fmt_opt(eps_naive),
+                    fmt_opt(eps_naive.map(|s| s / eps_tiled)),
                 ),
             });
         }

@@ -570,14 +570,16 @@ fn ba_iterate_tiled(
     } as u64;
     // Tile geometry: explicit sizes, or the default path's `n/64`
     // heuristic. Fixed per problem size — never a function of the
-    // worker count — preserving the determinism contract.
+    // worker count — preserving the determinism contract. An explicit
+    // tile is clamped to the dimension it splits (a larger one is still
+    // one tile), so `row_tile_rows * ny` cannot overflow.
     let row_tile_rows = if opts.row_tile > 0 {
-        opts.row_tile
+        opts.row_tile.min(nx)
     } else {
         nx.div_ceil(64).max(1)
     };
     let col_tile = if opts.col_tile > 0 {
-        opts.col_tile
+        opts.col_tile.min(ny)
     } else {
         ny.div_ceil(64).max(1)
     };
@@ -1287,6 +1289,7 @@ mod tests {
                 ],
                 3.0,
             ),
+            (vec![0.35, 0.65], hamming(2), 1.5),
         ]
     }
 
@@ -1319,7 +1322,9 @@ mod tests {
     fn tiled_is_bit_identical_across_tile_sizes() {
         for (source, distortion, beta) in tiled_cases() {
             let want = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-            for tile in [1usize, 7, 64, 4096] {
+            // `1 << 63` rows of 2 or 4 cells wrap an unclamped chunk size
+            // to 0; `usize::MAX` overflows any product.
+            for tile in [1usize, 7, 64, 4096, 1 << 63, usize::MAX] {
                 let opts = BaTileOptions {
                     row_tile: tile,
                     col_tile: tile,

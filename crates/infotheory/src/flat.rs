@@ -34,10 +34,15 @@
 //!   fold is a pure function of the matrix, independent of tile size
 //!   and thread count, and is pinned bit-identical to its own serial
 //!   reference ([`FlatChannel::mutual_information_naive`]).
+//! * `max_row_log_ratio_blocked` first drops every column whose ratio
+//!   provably cannot hold the maximum, then runs the pairwise loop of
+//!   [`DiscreteChannel::max_row_log_ratio`] on the rest, so it is
+//!   **bit-identical** to it.
 
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
 use dplearn_numerics::special::{xlogx_over_y, KahanSum};
+use std::ops::Range;
 
 /// Approximate cost (≈ nanoseconds, [`dplearn_parallel::par_threshold`]
 /// units) of one matrix cell in the mutual-information sweep: a
@@ -47,6 +52,17 @@ const MI_CELL_COST: u64 = 24;
 /// Approximate cost of one cell in the marginal / vulnerability sweeps:
 /// a multiply and an add or max.
 const SCAN_CELL_COST: u64 = 2;
+
+/// Columns per task in the realized-ε bound pass. Fixed, so the set of
+/// surviving columns never depends on `tile` or the worker count; at 8
+/// rows a block is 64 KiB of kernel.
+const EPS_BLOCK: usize = 1024;
+
+/// Relative cut of the realized-ε bound pass: a column whose max/min
+/// ratio is below `(1 − EPS_CUT)` × its block's largest is dropped. The
+/// exact pass computes every pair value to within a few ulps of
+/// `ln(max/min)`, about 10⁶ times finer than this cut.
+const EPS_CUT: f64 = 1e-9;
 
 /// A discrete memoryless channel stored as one flat row-major buffer —
 /// the large-alphabet counterpart of [`DiscreteChannel`].
@@ -287,12 +303,14 @@ impl FlatChannel {
     /// [`crate::leakage::posterior_vulnerability`] at every tile size
     /// and thread count.
     pub fn posterior_vulnerability_blocked(&self, tile: usize) -> Result<f64> {
-        let tile = validate_tile(tile)?;
+        // A tile past the last column is one tile; clamping keeps the
+        // cost product below from overflowing.
+        let tile = validate_tile(tile)?.min(self.ny);
         let (input, kernel, ny) = (&self.input, &self.kernel, self.ny);
         let n_tiles = ny.div_ceil(tile);
         let total = dplearn_parallel::par_map_reduce_with_cost(
             n_tiles,
-            SCAN_CELL_COST * (tile * input.len()) as u64,
+            SCAN_CELL_COST.saturating_mul((tile * input.len()) as u64),
             0.0f64,
             |t| {
                 let start = t * tile;
@@ -328,18 +346,59 @@ impl FlatChannel {
 
     /// The worst log-ratio between any two kernel rows — the
     /// `dp_bounds`-adjacent scan: for a learning channel over
-    /// neighboring datasets this is the mechanism's exact ε. Same value
-    /// as [`DiscreteChannel::max_row_log_ratio`] (maxima are exact under
-    /// any association), computed with row pairs parallelized over `tile`
-    /// anchor rows per task instead of the boxed-row triple loop.
+    /// neighboring datasets this is the mechanism's exact ε.
+    /// Bit-identical to [`DiscreteChannel::max_row_log_ratio`] at every
+    /// tile size and thread count, computed in two passes:
+    ///
+    /// 1. **Bound pass.** One sweep over the kernel in fixed 1024-column
+    ///    blocks takes each column's max and min over all rows. A column
+    ///    with a zero and a nonzero cell makes ε infinite; an all-zero
+    ///    column has no pair to compare. A column whose min/max quotient
+    ///    is a normal number, and whose max/min ratio is below
+    ///    `(1 − 1e-9)` × the largest such ratio in its block, is dropped.
+    /// 2. **Exact pass.** Every other column goes through the
+    ///    reference's pairwise `|ln(a/b)|` loop, with `tile` anchor rows
+    ///    per task. That includes each block's largest-ratio column and
+    ///    every column whose quotient is subnormal or zero.
+    ///
+    /// Dropping is exact. Division is correctly rounded, hence monotone,
+    /// and `ln` is accurate to about an ulp, so every pair value of a
+    /// column with a normal quotient lies within a few ulps of
+    /// `ln(max/min)` — far inside the 1e-9 cut — while the block's
+    /// largest-ratio column is evaluated pair by pair. Outside the
+    /// normal range that bound fails: rows `(lo, hi, lo)` give pair
+    /// values `ln(lo/hi) ≈ −709` and `ln(hi/lo) = ∞`, so such columns are
+    /// never dropped. The closed form `ln(max/min)` is never returned,
+    /// since it can differ from the pairwise maximum in the last ulp.
+    ///
+    /// On a Gibbs channel nearly every column is dropped, so the cost is
+    /// one read of the kernel instead of a division and a logarithm per
+    /// row pair and column.
     pub fn max_row_log_ratio_blocked(&self, tile: usize) -> Result<f64> {
-        let tile = validate_tile(tile)?;
-        let (kernel, ny) = (&self.kernel, self.ny);
         let nx = self.input.len();
-        let n_tiles = nx.div_ceil(tile);
+        let tile = validate_tile(tile)?.min(nx);
+        let (kernel, ny) = (&self.kernel, self.ny);
+        let survivors = dplearn_parallel::par_map_reduce_with_cost(
+            ny.div_ceil(EPS_BLOCK),
+            SCAN_CELL_COST.saturating_mul((EPS_BLOCK as u64).saturating_mul(nx as u64)),
+            Some(Vec::new()),
+            |block| self.eps_block_survivors(block),
+            |acc: Option<Vec<Range<usize>>>, runs| {
+                let mut acc = acc?;
+                acc.extend(runs?);
+                Some(acc)
+            },
+        );
+        let Some(runs) = survivors else {
+            return Ok(f64::INFINITY);
+        };
+        let cells: u64 = runs.iter().map(|run| run.len() as u64).sum();
         let worst = dplearn_parallel::par_map_reduce_with_cost(
-            n_tiles,
-            MI_CELL_COST * (tile * nx * ny) as u64,
+            nx.div_ceil(tile),
+            MI_CELL_COST
+                .saturating_mul(tile as u64)
+                .saturating_mul(nx as u64)
+                .saturating_mul(cells),
             0.0f64,
             |t| {
                 let lo = t * tile;
@@ -349,14 +408,13 @@ impl FlatChannel {
                     let row_i = &kernel[i * ny..(i + 1) * ny];
                     for j in (i + 1)..nx {
                         let row_j = &kernel[j * ny..(j + 1) * ny];
-                        for (&a, &b) in row_i.iter().zip(row_j) {
-                            if a == 0.0 && b == 0.0 {
-                                continue;
+                        // Surviving columns are strictly positive: the
+                        // bound pass settled every zero cell.
+                        for run in &runs {
+                            let pairs = row_i[run.clone()].iter().zip(&row_j[run.clone()]);
+                            for (&a, &b) in pairs {
+                                w = w.max((a / b).ln().abs());
                             }
-                            if a == 0.0 || b == 0.0 {
-                                return f64::INFINITY;
-                            }
-                            w = w.max((a / b).ln().abs());
                         }
                     }
                 }
@@ -366,6 +424,52 @@ impl FlatChannel {
         );
         Ok(worst)
     }
+
+    /// The realized-ε bound pass over one column block: the block's
+    /// surviving column runs in order, or `None` when a column mixes
+    /// zero and nonzero cells (ε = ∞).
+    fn eps_block_survivors(&self, block: usize) -> Option<Vec<Range<usize>>> {
+        let (kernel, ny) = (&self.kernel, self.ny);
+        let start = block * EPS_BLOCK;
+        let cols = start..start + EPS_BLOCK.min(ny - start);
+        let mut hi = kernel[cols.clone()].to_vec();
+        let mut lo = hi.clone();
+        for row in kernel.chunks_exact(ny).skip(1) {
+            for ((h, l), &v) in hi.iter_mut().zip(&mut lo).zip(&row[cols.clone()]) {
+                *h = h.max(v);
+                *l = l.min(v);
+            }
+        }
+        // `lo` becomes each column's min/max quotient q: the smaller q,
+        // the larger the ratio. NaN marks an all-zero column, which no
+        // test below keeps. Only normal quotients set the cut, so a
+        // subnormal or zero quotient always passes it.
+        let mut q_min = f64::INFINITY;
+        for (&h, q) in hi.iter().zip(&mut lo) {
+            if h == 0.0 {
+                *q = f64::NAN;
+                continue;
+            }
+            if *q == 0.0 {
+                return None;
+            }
+            *q /= h;
+            if q.is_normal() {
+                q_min = q_min.min(*q);
+            }
+        }
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (y, &q) in cols.zip(&lo) {
+            // max/min < (1 − EPS_CUT)·largest  ⇔  q·(1 − EPS_CUT) > q_min.
+            if q * (1.0 - EPS_CUT) <= q_min {
+                match runs.last_mut() {
+                    Some(run) if run.end == y => run.end += 1,
+                    _ => runs.push(y..y + 1),
+                }
+            }
+        }
+        Some(runs)
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +477,10 @@ mod tests {
     use super::*;
     use crate::leakage;
     use dplearn_numerics::rng::{Rng, Xoshiro256};
+
+    /// Tiles from one cell to far past any dimension. `1 << 63` and
+    /// `usize::MAX` overflow an unclamped cost hint or chunk product.
+    const HUGE_AND_SMALL_TILES: [usize; 6] = [1, 7, 64, 4096, 1 << 63, usize::MAX];
 
     /// A deterministic dense test channel with a few zero kernel cells
     /// and one zero-mass input symbol.
@@ -450,7 +558,7 @@ mod tests {
         let c = test_channel(13, 17, 5);
         let f = FlatChannel::from_channel(&c);
         let want: Vec<u64> = c.output_marginal().iter().map(|v| v.to_bits()).collect();
-        for tile in [1, 7, 64, 4096] {
+        for tile in HUGE_AND_SMALL_TILES {
             let got: Vec<u64> = f
                 .output_marginal_blocked(tile)
                 .unwrap()
@@ -472,7 +580,7 @@ mod tests {
             f.prior_vulnerability().to_bits(),
             leakage::prior_vulnerability(&c).to_bits()
         );
-        for tile in [1, 7, 64, 4096] {
+        for tile in HUGE_AND_SMALL_TILES {
             assert_eq!(
                 f.posterior_vulnerability_blocked(tile).unwrap().to_bits(),
                 want_post.to_bits(),
@@ -496,7 +604,7 @@ mod tests {
         let c = test_channel(13, 17, 9);
         let f = FlatChannel::from_channel(&c);
         let want = f.mutual_information_naive();
-        for tile in [1, 7, 64, 4096] {
+        for tile in HUGE_AND_SMALL_TILES {
             let got = f.mutual_information_blocked(tile).unwrap();
             assert_eq!(got.to_bits(), want.to_bits(), "MI drifted at tile={tile}");
         }
@@ -526,7 +634,7 @@ mod tests {
         let c = test_channel(9, 6, 13);
         let f = FlatChannel::from_channel(&c);
         let want = c.max_row_log_ratio();
-        for tile in [1, 7, 64] {
+        for tile in HUGE_AND_SMALL_TILES {
             assert_eq!(
                 f.max_row_log_ratio_blocked(tile).unwrap().to_bits(),
                 want.to_bits()

@@ -13,17 +13,19 @@ use crate::{PacBayesError, Result};
 use dplearn_numerics::distributions::{Categorical, Gaussian, Sample};
 use dplearn_numerics::rng::Rng;
 use dplearn_numerics::special::{kahan_sum, log_sum_exp, xlogy};
+use std::sync::OnceLock;
 
 /// A probability distribution over a finite hypothesis class
 /// `Θ = {θ₀, …, θ_{k−1}}`, stored as an explicit probability vector.
 #[derive(Debug, Clone)]
 pub struct FinitePosterior {
     probs: Vec<f64>,
-    // Alias table built once at construction so repeated `sample` calls
-    // skip the O(k) Vose rebuild. Derived deterministically from `probs`
-    // (and excluded from PartialEq), so draws are bit-identical to
-    // sampling from a freshly built table.
-    alias: Option<Categorical>,
+    // Alias table built on the first `sample` and kept, so repeated
+    // draws skip the O(k) Vose rebuild while posteriors that are never
+    // sampled (channel rows, priors) never pay for it. Derived
+    // deterministically from `probs` (and excluded from PartialEq), so
+    // draws are bit-identical to sampling from a freshly built table.
+    alias: OnceLock<Option<Categorical>>,
 }
 
 impl PartialEq for FinitePosterior {
@@ -34,11 +36,10 @@ impl PartialEq for FinitePosterior {
 
 impl FinitePosterior {
     fn from_validated(probs: Vec<f64>) -> Self {
-        // Every constructor validates `probs` to a positive, finite unit
-        // sum, so the alias build cannot fail; `None` marks the
-        // impossible branch and falls back deterministically in `sample`.
-        let alias = Categorical::new(&probs).ok();
-        FinitePosterior { probs, alias }
+        FinitePosterior {
+            probs,
+            alias: OnceLock::new(),
+        }
     }
 
     /// The uniform distribution over `k` hypotheses.
@@ -167,13 +168,17 @@ impl FinitePosterior {
 
     /// Draw a hypothesis index.
     ///
-    /// Samples from the alias table built at construction — O(1) per draw
-    /// and bit-identical to rebuilding the table per call (the table is a
-    /// pure function of `probs`).
+    /// Samples from an alias table built on the first call — O(1) per
+    /// later draw and bit-identical to rebuilding the table per call (the
+    /// table is a pure function of `probs`).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        // `probs` was validated at construction; if the impossible
-        // happens, index 0 is a deterministic, in-bounds fallback.
-        match &self.alias {
+        // Every constructor validates `probs` to a positive, finite unit
+        // sum, so the alias build cannot fail; if the impossible happens,
+        // index 0 is a deterministic, in-bounds fallback.
+        match self
+            .alias
+            .get_or_init(|| Categorical::new(&self.probs).ok())
+        {
             Some(cat) => cat.sample(rng),
             None => 0,
         }
@@ -399,6 +404,24 @@ mod tests {
         let n = 100_000;
         let ones = (0..n).filter(|_| p.sample(&mut rng) == 1).count();
         close(ones as f64 / n as f64, 0.3, 0.01);
+    }
+
+    #[test]
+    fn lazy_alias_draws_match_an_eager_table() {
+        let p = FinitePosterior::from_log_weights(&[-0.3, -2.0, 0.0, -1.1, -5.0]).unwrap();
+        let eager = Categorical::new(p.probs()).unwrap();
+        // Cloned before the first draw: the clone builds its own table.
+        let clone = p.clone();
+        let draws = |f: &dyn Fn(&mut Xoshiro256) -> usize| {
+            let mut rng = Xoshiro256::seed_from(77);
+            (0..2_000).map(|_| f(&mut rng)).collect::<Vec<usize>>()
+        };
+        let want = draws(&|rng| eager.sample(rng));
+        assert_eq!(draws(&|rng| p.sample(rng)), want);
+        assert_eq!(draws(&|rng| clone.sample(rng)), want);
+        // A clone made after the first draw carries a copy of the table.
+        let after = p.clone();
+        assert_eq!(draws(&|rng| after.sample(rng)), want);
     }
 
     #[test]

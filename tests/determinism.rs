@@ -874,6 +874,164 @@ proptest::proptest! {
     }
 }
 
+/// A channel built to attack the realized-ε bound pass, which drops
+/// columns whose max/min ratio is provably below the largest in their
+/// block. Each case picks one of five regimes:
+///
+/// 0. generic spreads, with ulp-level near-ties and exact ties of one
+///    wide column in every row order;
+/// 1. near-uniform rows (every ratio within 10⁻⁶–10⁻¹² of 1);
+/// 2. near-uniform rows led by a near-tie pair that holds the maximum: a
+///    column, then a rescaled copy in reverse row order whose quotient
+///    rounds higher but whose pair value also rounds higher — the pair a
+///    cut without margin gets wrong;
+/// 3. an explicit `(lo, hi, lo)` column, whose quotient is subnormal one
+///    way and ∞ the other, beside a column with a deeper but finite
+///    quotient, among normal columns;
+/// 4. subnormal and overflowing ratios: one subnormal cell per column,
+///    in the first row for half of the cases (finite ε), else anywhere.
+///
+/// All-zero columns appear throughout, and one case in eight hides a
+/// single zero beside nonzero cells (ε = ∞). Cells stay below `0.5/ny`,
+/// so each row's last cell tops it up to a distribution.
+fn adversarial_eps_channel(nx: usize, ny: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
+    use dplearn::numerics::rng::Rng;
+    let mut rng = Xoshiro256::seed_from(seed);
+    let unit = 0.5 / ny as f64;
+    let regime = rng.next_index(5);
+    let jitter = 10f64.powi(-6 - rng.next_index(7) as i32);
+    let lo_first = rng.next_bool(0.5);
+    let wide: Vec<f64> = (0..nx)
+        .map(|_| unit * (1e-3 + (1.0 - 1e-3) * rng.next_f64()))
+        .collect();
+    let quotient = |c: &[f64]| {
+        c.iter().copied().fold(f64::INFINITY, f64::min) / c.iter().copied().fold(0.0, f64::max)
+    };
+    let pair_max = |c: &[f64]| {
+        let mut w = 0.0f64;
+        for (i, &a) in c.iter().enumerate() {
+            for &b in &c[i + 1..] {
+                w = w.max((a / b).ln().abs());
+            }
+        }
+        w
+    };
+    let mut cols: Vec<Vec<f64>> = Vec::with_capacity(ny);
+    if regime == 2 && ny >= 3 {
+        for _ in 0..1_000 {
+            let first: Vec<f64> = (0..nx)
+                .map(|x| {
+                    let spread = if x == 0 { 1.0 } else { 0.5 * rng.next_f64() };
+                    0.4 * unit * (1.0 - jitter * spread)
+                })
+                .collect();
+            let scale = 1.0 + rng.next_f64();
+            let twin: Vec<f64> = first.iter().rev().map(|v| v * scale).collect();
+            if quotient(&twin) > quotient(&first) && pair_max(&twin) > pair_max(&first) {
+                cols.extend([first, twin]);
+                break;
+            }
+        }
+    }
+    if regime == 3 && ny >= 3 {
+        // ln(lo/hi) ≈ −710 but hi/lo overflows; the second column's
+        // quotient, 2⁻¹⁰⁷⁴/hi, is the smallest any column here can reach.
+        let mut lo_hi_lo = vec![f64::from_bits(1 << 30); nx];
+        lo_hi_lo[1] = unit;
+        let mut deeper = vec![unit; nx];
+        deeper[0] = f64::from_bits(1);
+        cols.extend([lo_hi_lo, deeper]);
+    }
+    // Families: 0 generic, 1 near-uniform, 2 ulp near-tie of `wide`,
+    // 3 exact tie, 4 all-zero, 5 one subnormal cell.
+    while cols.len() + 1 < ny {
+        let family = match regime {
+            1 | 2 => [1, 1, 1, 1, 3, 4][rng.next_index(6)],
+            0 if rng.next_bool(0.5) => [0, 2][rng.next_index(2)],
+            4 if rng.next_bool(0.5) => 5,
+            4 => rng.next_index(6),
+            _ => rng.next_index(5),
+        };
+        let mut col: Vec<f64> = match family {
+            1 => {
+                let level = unit * (0.25 + 0.25 * rng.next_f64());
+                (0..nx)
+                    .map(|_| level * (1.0 - 0.25 * jitter * rng.next_f64()))
+                    .collect()
+            }
+            2 => wide
+                .iter()
+                .map(|v| f64::from_bits(v.to_bits() + rng.next_below(7) - 3))
+                .collect(),
+            3 => cols.last().cloned().unwrap_or_else(|| wide.clone()),
+            4 => vec![0.0; nx],
+            5 => {
+                let mut col: Vec<f64> = (0..nx).map(|_| unit * rng.next_open_f64()).collect();
+                let x = if lo_first { 0 } else { rng.next_index(nx) };
+                col[x] = f64::from_bits((rng.next_u64() >> (12 + rng.next_index(52))).max(1));
+                col
+            }
+            _ => (0..nx)
+                .map(|_| unit * (0.02 + 0.98 * rng.next_f64()))
+                .collect(),
+        };
+        if family == 2 || (family == 3 && rng.next_bool(0.5)) {
+            for i in (1..nx).rev() {
+                col.swap(i, rng.next_index(i + 1));
+            }
+        }
+        cols.push(col);
+    }
+    if rng.next_bool(0.125) {
+        if let Some(col) = cols.iter_mut().find(|c| c.iter().all(|&v| v > 0.0)) {
+            col[rng.next_index(nx)] = 0.0;
+        }
+    }
+    let kernel: Vec<Vec<f64>> = (0..nx)
+        .map(|x| {
+            let mut row: Vec<f64> = cols.iter().map(|c| c[x]).collect();
+            let filled: f64 = row.iter().sum();
+            row.push(1.0 - filled);
+            row
+        })
+        .collect();
+    (vec![1.0 / nx as f64; nx], kernel)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn pruned_realized_eps_pins_to_the_pairwise_oracle(
+        nx in 2usize..11,
+        ny in 1usize..9001,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        use dplearn::infotheory::channel::DiscreteChannel;
+        use dplearn::infotheory::flat::FlatChannel;
+
+        let (input, kernel) = adversarial_eps_channel(nx, ny, seed);
+        let boxed = DiscreteChannel::new(input, kernel).unwrap();
+        let flat = FlatChannel::from_channel(&boxed);
+        let want = boxed.max_row_log_ratio().to_bits();
+        let tiles = [1, 2, 3, 7, 64, nx + 1];
+        let got = assert_thread_count_invariant(|| {
+            tiles
+                .iter()
+                .map(|&tile| flat.max_row_log_ratio_blocked(tile).unwrap().to_bits())
+                .collect::<Vec<u64>>()
+        });
+        for (tile, bits) in tiles.iter().zip(got) {
+            proptest::prop_assert!(
+                bits == want,
+                "nx={nx} ny={ny} seed={seed} tile={tile}: {} vs oracle {}",
+                f64::from_bits(bits),
+                f64::from_bits(want)
+            );
+        }
+    }
+}
+
 #[test]
 fn nested_pool_dispatch_falls_back_to_serial_not_deadlock() {
     // A parallel call issued from inside a pool worker must run inline

@@ -18,6 +18,14 @@
 //!    closed; a request that failed after its charge poisons **its own
 //!    dataset's ledger only** — the charge stays spent (fail-closed) and
 //!    unrelated datasets keep serving.
+//!
+//! Every path that spends budget — batch admission, [`Engine::svt_open`]
+//! and [`Engine::continual_open`] — charges through one durable bracket.
+//! `open` admits the cost on the ledger, appends a durable
+//! [`WalRecord::Intent`], then charges; `close` appends
+//! [`WalRecord::Poison`] if the charged operation failed, then
+//! [`WalRecord::Commit`]. Every step that can fail runs before the
+//! intent, so inside the bracket only the log and the ledger can refuse.
 
 use crate::dataset::{Dataset, StatsMode};
 use crate::ledger::{BudgetLedger, LeakageLedger};
@@ -239,15 +247,6 @@ impl Engine {
     /// Whether a write-ahead log is attached.
     pub fn has_wal(&self) -> bool {
         self.wal.is_some()
-    }
-
-    /// Force a durability barrier on the attached log (no-op without
-    /// one). Only needed under [`FsyncPolicy::Manual`].
-    pub fn wal_flush(&mut self) -> Result<()> {
-        match &mut self.wal {
-            Some(log) => log.flush().map_err(EngineError::Durability),
-            None => Ok(()),
-        }
     }
 
     /// Rebuild an engine from a write-ahead log after a crash, with the
@@ -512,16 +511,10 @@ impl Engine {
             // The WAL append is the last fallible step; nothing has
             // mutated yet, so a durability failure leaves the engine
             // exactly as it was.
-            if let Some(log) = &mut self.wal {
-                log.append(
-                    &WalRecord::DatasetRegistered {
-                        dataset: name.to_string(),
-                        cap,
-                    },
-                    self.recorder.as_ref(),
-                )
-                .map_err(EngineError::Durability)?;
-            }
+            self.log(&WalRecord::DatasetRegistered {
+                dataset: name.to_string(),
+                cap,
+            })?;
             Some(BudgetLedger::new(cap))
         };
         // Commit point — everything below is infallible.
@@ -669,9 +662,6 @@ impl Engine {
                 }
                 Err(error) => {
                     recorder.counter_add("engine.requests.rejected", "", 1);
-                    if let Some(entry) = self.datasets.get_mut(&req.dataset) {
-                        entry.ledger.note_rejection();
-                    }
                     slots.push(Some(QueryOutcome::Rejected { error }));
                     work.push(None);
                 }
@@ -696,7 +686,8 @@ impl Engine {
         });
 
         // Phase 3 — sequential post-processing in submission order:
-        // faults poison their own dataset's ledger, nothing else.
+        // each charge closes its bracket, and faults poison their own
+        // dataset's ledger, nothing else.
         let mut outcomes = Vec::with_capacity(requests.len());
         for (i, ((slot, result), req)) in slots.into_iter().zip(executed).zip(requests).enumerate()
         {
@@ -704,37 +695,21 @@ impl Engine {
                 outcomes.push(rejected);
                 continue;
             }
-            let cost = work.get(i).and_then(|w| w.as_ref()).map_or(
-                Budget {
-                    epsilon: 0.0,
-                    delta: 0.0,
-                },
-                |w| w.cost,
+            let (cost, intent_seq) = work.get(i).and_then(|w| w.as_ref()).map_or(
+                (
+                    Budget {
+                        epsilon: 0.0,
+                        delta: 0.0,
+                    },
+                    None,
+                ),
+                |w| (w.cost, w.intent_seq),
             );
-            let intent_seq = work
-                .get(i)
-                .and_then(|w| w.as_ref())
-                .and_then(|w| w.intent_seq);
             match result {
                 Some(Ok((value, attempts))) => {
                     recorder.counter_add("engine.requests.executed", "", 1);
                     recorder.counter_add("engine.retries", "", attempts.saturating_sub(1) as u64);
-                    if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-                        if log
-                            .append(&WalRecord::Commit { seq }, recorder.as_ref())
-                            .is_err()
-                        {
-                            recorder.counter_add("wal.append_errors", "", 1);
-                            // Fail closed: the unresolved durable intent
-                            // will be conservatively re-charged (and the
-                            // dataset poisoned) on recovery, so poison the
-                            // live ledger too — durable and live state
-                            // must not diverge.
-                            if let Some(entry) = self.datasets.get_mut(&req.dataset) {
-                                entry.ledger.poison(PoisonReason::DurabilityFailure);
-                            }
-                        }
-                    }
+                    self.close(&req.dataset, intent_seq, None);
                     outcomes.push(QueryOutcome::Executed {
                         value,
                         cost,
@@ -755,35 +730,7 @@ impl Engine {
                         Some(class) => PoisonReason::NumericFault(fault_label(class)),
                         None => PoisonReason::ChargedOperationFailed,
                     };
-                    if let Some(log) = &mut self.wal {
-                        // Poison before commit: a crash between the two
-                        // leaves an unresolved intent, which recovery
-                        // charges conservatively AND poisons — strictly
-                        // more conservative than what happened.
-                        if log
-                            .append(
-                                &WalRecord::Poison {
-                                    dataset: req.dataset.clone(),
-                                    reason,
-                                },
-                                recorder.as_ref(),
-                            )
-                            .is_err()
-                        {
-                            recorder.counter_add("wal.append_errors", "", 1);
-                        }
-                        if let Some(seq) = intent_seq {
-                            if log
-                                .append(&WalRecord::Commit { seq }, recorder.as_ref())
-                                .is_err()
-                            {
-                                recorder.counter_add("wal.append_errors", "", 1);
-                            }
-                        }
-                    }
-                    if let Some(entry) = self.datasets.get_mut(&req.dataset) {
-                        entry.ledger.poison(reason);
-                    }
+                    self.close(&req.dataset, intent_seq, Some(reason));
                     outcomes.push(QueryOutcome::Faulted {
                         error,
                         cost,
@@ -847,6 +794,8 @@ impl Engine {
         }
     }
 
+    /// Validate `req` against its mechanism, then open its charge. A
+    /// refusal on a registered dataset counts as a rejection.
     fn admit_one(
         &mut self,
         req: &QueryRequest,
@@ -854,53 +803,29 @@ impl Engine {
     ) -> Result<impl_detail::AdmittedAlias> {
         let entry = self
             .datasets
-            .get(&req.dataset)
-            .ok_or_else(|| EngineError::UnknownDataset(req.dataset.clone()))?;
-        let mech = self.registry.resolve(&req.kind)?;
-        let cost = mech.admit(&req.kind, &entry.dataset)?;
-        entry.ledger.admit(&req.dataset, cost)?;
-        let dataset = Arc::clone(&entry.dataset);
-        // Durable intent BEFORE the charge lands (and long before the
-        // mechanism executes): if the intent cannot be made durable the
-        // request is rejected with provably zero spend.
-        let recorder = Arc::clone(&self.recorder);
-        let intent_seq = match &mut self.wal {
-            Some(log) => {
-                let seq = log.next_intent_seq();
-                log.append(
-                    &WalRecord::Intent {
-                        seq,
-                        dataset: req.dataset.clone(),
-                        cost,
-                    },
-                    recorder.as_ref(),
-                )
-                .map_err(EngineError::Durability)?;
-                Some(seq)
-            }
-            None => None,
-        };
-        // Admission passed on every axis: the charge cannot fail now.
-        let entry = self
-            .datasets
             .get_mut(&req.dataset)
             .ok_or_else(|| EngineError::UnknownDataset(req.dataset.clone()))?;
-        if let Err(error) = entry.ledger.charge(&req.dataset, cost) {
-            // Unreachable after a successful admit, but if it ever fires
-            // the durable intent must be resolved as never-charged.
-            if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-                if log
-                    .append(&WalRecord::Abort { seq }, recorder.as_ref())
-                    .is_err()
-                {
-                    recorder.counter_add("wal.append_errors", "", 1);
-                }
+        let staged = self
+            .registry
+            .resolve(&req.kind)
+            .and_then(|mech| Ok((mech.admit(&req.kind, &entry.dataset)?, mech)));
+        let (cost, mech) = match staged {
+            Ok(staged) => staged,
+            Err(error) => {
+                entry.ledger.note_rejection();
+                return Err(error);
             }
-            return Err(error);
-        }
+        };
+        let intent_seq = Self::open(
+            &mut self.wal,
+            self.recorder.as_ref(),
+            &mut entry.ledger,
+            &req.dataset,
+            cost,
+        )?;
         Ok(impl_detail::AdmittedAlias {
             mech,
-            dataset,
+            dataset: Arc::clone(&entry.dataset),
             kind: req.kind.clone(),
             cost,
             rng,
@@ -912,6 +837,118 @@ impl Engine {
         let mut sm = SplitMix64::new(self.config.seed ^ self.batch_counter);
         self.batch_counter += 1;
         sm.next_u64()
+    }
+
+    // ----------------------------------------------------------------
+    // The durable charge bracket
+    // ----------------------------------------------------------------
+
+    /// Open a charge of `cost` on `dataset`, whose ledger is `ledger`:
+    /// admit it on the ledger, append a durable [`WalRecord::Intent`] to
+    /// `wal`, then charge. The intent is durable before the charge lands
+    /// and long before anything runs on the charge. Any refusal counts
+    /// as a rejection and spends nothing; a charge that fails after its
+    /// intent appends [`WalRecord::Abort`]. Returns the intent's
+    /// sequence number (`None` without a log), which [`Engine::close`]
+    /// resolves. The caller's borrows are split so the batch path opens
+    /// on the entry it already looked up.
+    fn open(
+        wal: &mut Option<WriteAheadLog>,
+        recorder: &dyn Recorder,
+        ledger: &mut BudgetLedger,
+        dataset: &str,
+        cost: Budget,
+    ) -> Result<Option<u64>> {
+        let opened = ledger.admit(dataset, cost).and_then(|()| {
+            let seq = match wal {
+                Some(log) => {
+                    let seq = log.next_intent_seq();
+                    let intent = WalRecord::Intent {
+                        seq,
+                        dataset: dataset.to_string(),
+                        cost,
+                    };
+                    log.append(&intent, recorder)
+                        .map_err(EngineError::Durability)?;
+                    Some(seq)
+                }
+                None => None,
+            };
+            // Unreachable after a successful admit, but if it ever fires
+            // the durable intent is resolved as never charged.
+            if let Err(error) = ledger.charge(dataset, cost) {
+                if let (Some(log), Some(seq)) = (wal, seq) {
+                    append_resolution(log, &WalRecord::Abort { seq }, recorder);
+                }
+                return Err(error);
+            }
+            Ok(seq)
+        });
+        if opened.is_err() {
+            ledger.note_rejection();
+        }
+        opened
+    }
+
+    /// [`Engine::open`] on a dataset looked up by name.
+    fn open_named(&mut self, dataset: &str, cost: Budget) -> Result<Option<u64>> {
+        let entry = self
+            .datasets
+            .get_mut(dataset)
+            .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
+        Self::open(
+            &mut self.wal,
+            self.recorder.as_ref(),
+            &mut entry.ledger,
+            dataset,
+            cost,
+        )
+    }
+
+    /// Close the charge [`Engine::open`] opened as intent `seq`: append
+    /// [`WalRecord::Poison`] if the charged operation failed with
+    /// `failure`, then [`WalRecord::Commit`]. A `Commit` is never written
+    /// without its `Poison`: if the poison cannot be appended the intent
+    /// stays open, and recovery charges it and poisons the dataset. The
+    /// live ledger is poisoned with `failure`, or with
+    /// [`PoisonReason::DurabilityFailure`] when the commit is not
+    /// durable, so live state never claims more than the log backs. A
+    /// successful close looks nothing up.
+    fn close(&mut self, dataset: &str, seq: Option<u64>, failure: Option<PoisonReason>) {
+        let mut committed = true;
+        if let (Some(log), Some(seq)) = (&mut self.wal, seq) {
+            let recorder = self.recorder.as_ref();
+            let poisoned = match failure {
+                Some(reason) => {
+                    let poison = WalRecord::Poison {
+                        dataset: dataset.to_string(),
+                        reason,
+                    };
+                    append_resolution(log, &poison, recorder)
+                }
+                None => true,
+            };
+            committed = poisoned && append_resolution(log, &WalRecord::Commit { seq }, recorder);
+        }
+        let reason = match (failure, committed) {
+            (Some(reason), _) => reason,
+            (None, false) => PoisonReason::DurabilityFailure,
+            (None, true) => return,
+        };
+        if let Some(entry) = self.datasets.get_mut(dataset) {
+            entry.ledger.poison(reason);
+        }
+    }
+
+    /// Append `record` durably before any live state changes (a no-op
+    /// without a log).
+    fn log(&mut self, record: &WalRecord) -> Result<()> {
+        match &mut self.wal {
+            Some(log) => log
+                .append(record, self.recorder.as_ref())
+                .map_err(EngineError::Durability),
+            None => Ok(()),
+        }
     }
 
     // ----------------------------------------------------------------
@@ -938,72 +975,16 @@ impl Engine {
                 reason: format!("SVT noise scales overflow at ε = {epsilon}"),
             });
         }
-        let cost = Budget::pure(eps);
-        {
-            let entry = self
-                .datasets
-                .get_mut(dataset)
-                .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-            if let Err(e) = entry.ledger.admit(dataset, cost) {
-                entry.ledger.note_rejection();
-                return Err(e);
-            }
-        }
-        // Same intent/commit bracket as batch admission: the whole
-        // session's ε is durably intended before the charge lands.
-        let recorder = Arc::clone(&self.recorder);
-        let intent_seq = match &mut self.wal {
-            Some(log) => {
-                let seq = log.next_intent_seq();
-                if let Err(e) = log.append(
-                    &WalRecord::Intent {
-                        seq,
-                        dataset: dataset.to_string(),
-                        cost,
-                    },
-                    recorder.as_ref(),
-                ) {
-                    if let Some(entry) = self.datasets.get_mut(dataset) {
-                        entry.ledger.note_rejection();
-                    }
-                    return Err(EngineError::Durability(e));
-                }
-                Some(seq)
-            }
-            None => None,
-        };
-        let entry = self
-            .datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-        if let Err(error) = entry.ledger.charge(dataset, cost) {
-            if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-                if log
-                    .append(&WalRecord::Abort { seq }, recorder.as_ref())
-                    .is_err()
-                {
-                    recorder.counter_add("wal.append_errors", "", 1);
-                }
-            }
-            return Err(error);
-        }
-        if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-            if log
-                .append(&WalRecord::Commit { seq }, recorder.as_ref())
-                .is_err()
-            {
-                recorder.counter_add("wal.append_errors", "", 1);
-                if let Some(entry) = self.datasets.get_mut(dataset) {
-                    entry.ledger.poison(PoisonReason::DurabilityFailure);
-                }
-            }
-        }
+        // Build the session before the bracket, so nothing that runs
+        // after the charge can fail.
         let mut rng = Xoshiro256::substream(
             self.config.seed ^ 0x5654_5F53_4553_5349,
             self.session_counter,
         );
-        self.session_counter += 1;
         let svt = AboveThreshold::new(eps, 1.0, threshold, &mut rng)?;
+        let seq = self.open_named(dataset, Budget::pure(eps))?;
+        self.close(dataset, seq, None);
+        self.session_counter += 1;
         let id = self.session_counter;
         self.sessions.insert(
             id,
@@ -1065,17 +1046,12 @@ impl Engine {
             .ok_or(EngineError::UnknownSession(session))?;
         let dataset = hosted.dataset.clone();
         let state = hosted.svt.suspend();
-        if let Some(log) = &mut self.wal {
-            let recorder = Arc::clone(&self.recorder);
-            log.append(
-                &WalRecord::SvtSuspended {
-                    session,
-                    dataset: dataset.clone(),
-                    state,
-                },
-                recorder.as_ref(),
-            )
-            .map_err(EngineError::Durability)?;
+        if self.wal.is_some() {
+            self.log(&WalRecord::SvtSuspended {
+                session,
+                dataset: dataset.clone(),
+                state,
+            })?;
             self.suspended_states
                 .insert(session, (dataset.clone(), state));
         }
@@ -1106,11 +1082,7 @@ impl Engine {
             (ds == dataset && st.to_bytes() == state.to_bytes()).then_some(*id)
         });
         if let Some(id) = matched {
-            if let Some(log) = &mut self.wal {
-                let recorder = Arc::clone(&self.recorder);
-                log.append(&WalRecord::SvtResumed { session: id }, recorder.as_ref())
-                    .map_err(EngineError::Durability)?;
-            }
+            self.log(&WalRecord::SvtResumed { session: id })?;
             self.suspended_states.remove(&id);
         }
         let rng = Xoshiro256::substream(
@@ -1200,84 +1172,24 @@ impl Engine {
                 reason: "continual counter needs a horizon of at least one step".to_string(),
             });
         }
-        let cost = Budget::pure(eps);
-        {
-            let entry = self
-                .datasets
-                .get_mut(dataset)
-                .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-            if let Err(e) = entry.ledger.admit(dataset, cost) {
-                entry.ledger.note_rejection();
-                return Err(e);
-            }
-        }
-        let recorder = Arc::clone(&self.recorder);
-        let intent_seq = match &mut self.wal {
-            Some(log) => {
-                let seq = log.next_intent_seq();
-                if let Err(e) = log.append(
-                    &WalRecord::Intent {
-                        seq,
-                        dataset: dataset.to_string(),
-                        cost,
-                    },
-                    recorder.as_ref(),
-                ) {
-                    if let Some(entry) = self.datasets.get_mut(dataset) {
-                        entry.ledger.note_rejection();
-                    }
-                    return Err(EngineError::Durability(e));
-                }
-                Some(seq)
-            }
-            None => None,
-        };
-        let entry = self
-            .datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-        if let Err(error) = entry.ledger.charge(dataset, cost) {
-            if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-                if log
-                    .append(&WalRecord::Abort { seq }, recorder.as_ref())
-                    .is_err()
-                {
-                    recorder.counter_add("wal.append_errors", "", 1);
-                }
-            }
-            return Err(error);
-        }
-        if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-            if log
-                .append(&WalRecord::Commit { seq }, recorder.as_ref())
-                .is_err()
-            {
-                recorder.counter_add("wal.append_errors", "", 1);
-                if let Some(entry) = self.datasets.get_mut(dataset) {
-                    entry.ledger.poison(PoisonReason::DurabilityFailure);
-                }
-            }
-        }
-        self.session_counter += 1;
-        let id = self.session_counter;
+        // Build the counter before the bracket, seeded with the id it
+        // will receive: a counter that cannot be built spends nothing.
+        let id = self.session_counter + 1;
+        let counter = TreeCounter::new(eps, horizon, self.continual_seed(id))?;
+        let seq = self.open_named(dataset, Budget::pure(eps))?;
+        self.close(dataset, seq, None);
+        self.session_counter = id;
         // Durable open record AFTER the commit: a crash between the two
         // loses the counter but keeps its charge — strictly conservative
         // (spent ε with nothing released), never the reverse. If the
         // record itself cannot be appended, fail the open the same way:
         // the ε stays durably spent, no live counter exists.
-        if let Some(log) = &mut self.wal {
-            log.append(
-                &WalRecord::ContinualOpened {
-                    session: id,
-                    dataset: dataset.to_string(),
-                    epsilon: eps.value(),
-                    horizon,
-                },
-                recorder.as_ref(),
-            )
-            .map_err(EngineError::Durability)?;
-        }
-        let counter = TreeCounter::new(eps, horizon, self.continual_seed(id))?;
+        self.log(&WalRecord::ContinualOpened {
+            session: id,
+            dataset: dataset.to_string(),
+            epsilon: eps.value(),
+            horizon,
+        })?;
         self.counters.insert(
             id,
             ContinualHostedSession {
@@ -1285,7 +1197,8 @@ impl Engine {
                 counter,
             },
         );
-        recorder.counter_add("engine.continual.opened", dataset, 1);
+        self.recorder
+            .counter_add("engine.continual.opened", dataset, 1);
         Ok(id)
     }
 
@@ -1441,6 +1354,18 @@ impl Engine {
             None => report,
         })
     }
+}
+
+/// Append a record that resolves an open intent. The charge has landed,
+/// so a failure cannot be returned to undo it: it is counted, and the
+/// caller keeps the live state at least as conservative as what
+/// recovery will rebuild. Returns whether the record was appended.
+fn append_resolution(log: &mut WriteAheadLog, record: &WalRecord, recorder: &dyn Recorder) -> bool {
+    let appended = log.append(record, recorder).is_ok();
+    if !appended {
+        recorder.counter_add("wal.append_errors", "", 1);
+    }
+    appended
 }
 
 /// Execute with bounded retries: attempt `k` (0-based) runs on the
@@ -1923,6 +1848,35 @@ mod tests {
         assert!(e.continual_open("d", 1.0, 0).is_err());
         assert!(e.continual_open("missing", 1.0, 8).is_err());
         assert_eq!(e.ledger("d").unwrap().snapshot().spent.epsilon, 0.0);
+    }
+
+    #[test]
+    fn continual_open_with_an_overflowing_noise_scale_spends_and_logs_nothing() {
+        use crate::wal::MemoryWal;
+
+        let values: Vec<f64> = (0..100).map(|i| (i % 10) as f64 / 10.0).collect();
+        let cap = Budget::new(2.0, 1e-6).unwrap();
+        let storage = MemoryWal::new();
+        let handle = storage.handle();
+        let mut e = Engine::new(EngineConfig::default()).unwrap();
+        e.attach_wal(storage, FsyncPolicy::EveryAppend).unwrap();
+        e.register_dataset("d", values.clone(), 0.0, 1.0, cap)
+            .unwrap();
+        let registered = handle.bytes();
+
+        // ε = 1e-310 is a valid ε, but the tree's Laplace scale 3/ε is +∞.
+        assert!(e.continual_open("d", 1e-310, 4).is_err());
+        assert_eq!(e.ledger("d").unwrap().snapshot().spent.epsilon, 0.0);
+        assert_eq!(e.open_counters(), 0);
+        assert_eq!(handle.bytes(), registered, "nothing reaches the log");
+
+        // Recovery has no counter to re-arm, so the dataset re-registers.
+        let mut recovered =
+            Engine::recover(EngineConfig::default(), MemoryWal::from_bytes(registered)).unwrap();
+        recovered
+            .register_dataset("d", values, 0.0, 1.0, cap)
+            .unwrap();
+        assert_eq!(recovered.ledger("d").unwrap().snapshot().spent.epsilon, 0.0);
     }
 
     #[test]

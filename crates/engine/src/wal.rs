@@ -9,15 +9,21 @@
 //! longer charges for. This module makes the accounting survive crashes,
 //! with a fail-closed bias at every ambiguity:
 //!
-//! * **Intent before execution.** Every admitted charge appends an
-//!   [`WalRecord::Intent`] *before* the ledger is charged and long
-//!   before the mechanism executes; the matching [`WalRecord::Commit`]
-//!   lands in the sequential post-processing phase. Recovery treats an
-//!   intent with no commit as **spent** (the mechanism may have executed
-//!   before the crash) and poisons the dataset with
+//! * **Intent before execution.** Every charge — a batch request, an
+//!   SVT session or a continual counter — goes through the engine's one
+//!   durable bracket. It appends a [`WalRecord::Intent`] *before* the
+//!   ledger is charged and long before anything runs on the charge;
+//!   closing it appends [`WalRecord::Poison`] if the charged operation
+//!   failed, then the matching [`WalRecord::Commit`]. No `Commit` is
+//!   written without its `Poison`. Recovery treats an intent with no
+//!   commit as **spent** (the mechanism may have executed before the
+//!   crash) and poisons the dataset with
 //!   [`PoisonReason::ConservativeRecovery`]. Rejected requests never
 //!   write an intent, so rejections provably spend zero even through a
 //!   crash.
+//! * **One fsync policy.** Every append is followed by a durability
+//!   barrier ([`FsyncPolicy::EveryAppend`]), so an intent is on disk
+//!   before anything runs on its charge.
 //! * **CRC-framed, length-prefixed records.** Each record is framed as
 //!   `len:u32le ‖ crc32(len‖payload):u32le ‖ payload`. A torn or
 //!   bit-flipped **tail** record (the only kind an append-only crash can
@@ -1055,54 +1061,44 @@ impl WalStorage for CrashableWal {
 // The writer
 // ---------------------------------------------------------------------
 
-/// When the log forces a durability barrier.
+/// When the log forces a durability barrier. There is one policy: a
+/// barrier after every append, so an intent is durable before anything
+/// runs on its charge.
+///
+/// The type remains because public signatures take it —
+/// [`Engine::attach_wal`](crate::engine::Engine::attach_wal),
+/// [`Engine::recover_with_registry`](crate::engine::Engine::recover_with_registry),
+/// [`WriteAheadLog::new`] and the serving loop's attach and recover —
+/// and their callers pass `FsyncPolicy::EveryAppend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Flush after **every** append (the default). Required for the
-    /// strict fail-closed guarantee: the intent must be durable before
-    /// the mechanism may execute.
+    /// Flush after every append.
     #[default]
     EveryAppend,
-    /// Flush only after resolution records (commit/abort/poison/SVT).
-    /// Cheaper, but an execution can begin before its intent is
-    /// durable, so a crash inside that window may under-count by the
-    /// in-flight request. Use only when the storage medium makes
-    /// per-append flushes prohibitive *and* that window is acceptable.
-    OnCommit,
-    /// Never flush implicitly; the caller drives
-    /// [`WriteAheadLog::flush`] (e.g. from a timer). Weakest guarantee.
-    Manual,
 }
 
 /// The engine's append-side handle on a write-ahead log.
 pub struct WriteAheadLog {
     storage: Box<dyn WalStorage>,
-    policy: FsyncPolicy,
     next_intent: u64,
 }
 
 impl std::fmt::Debug for WriteAheadLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriteAheadLog")
-            .field("policy", &self.policy)
             .field("next_intent", &self.next_intent)
             .finish()
     }
 }
 
 impl WriteAheadLog {
-    /// Wrap `storage` under `policy`, starting intent numbering at 0.
-    pub fn new(storage: impl WalStorage + 'static, policy: FsyncPolicy) -> Self {
+    /// Wrap `storage`, starting intent numbering at 0. Every append is
+    /// flushed ([`FsyncPolicy::EveryAppend`]).
+    pub fn new(storage: impl WalStorage + 'static, _policy: FsyncPolicy) -> Self {
         WriteAheadLog {
             storage: Box::new(storage),
-            policy,
             next_intent: 0,
         }
-    }
-
-    /// The fsync policy in force.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
     }
 
     pub(crate) fn set_next_intent(&mut self, next: u64) {
@@ -1115,22 +1111,11 @@ impl WriteAheadLog {
         seq
     }
 
-    /// Force a durability barrier now.
-    pub fn flush(&mut self) -> WalResult<()> {
-        self.storage.flush()
-    }
-
-    /// Append one record, flushing per policy. Telemetry is recorded
-    /// from the (sequential) calling path, so counters stay
-    /// thread-count invariant.
+    /// Append one record durably. Telemetry is recorded from the
+    /// (sequential) calling path, so counters stay thread-count
+    /// invariant.
     pub(crate) fn append(&mut self, record: &WalRecord, recorder: &dyn Recorder) -> WalResult<()> {
-        let is_intent = matches!(record, WalRecord::Intent { .. });
-        self.append_frame(
-            &record.encode_frame()?,
-            record_label(record),
-            is_intent,
-            recorder,
-        )
+        self.append_frame(&record.encode_frame()?, record_label(record), recorder)
     }
 
     /// Append a [`WalRecord::DatasetAppended`] record for a borrowed
@@ -1144,31 +1129,21 @@ impl WriteAheadLog {
     ) -> WalResult<()> {
         let mut frame = frame_buffer(dataset_appended_len(dataset, values));
         push_dataset_appended(&mut frame, dataset, epoch, values)?;
-        self.append_frame(&seal_frame(frame)?, "dataset_appended", false, recorder)
+        self.append_frame(&seal_frame(frame)?, "dataset_appended", recorder)
     }
 
-    /// Write one encoded frame, then flush per policy; under
-    /// [`FsyncPolicy::OnCommit`] an intent frame waits for the flush of
-    /// the record that resolves it.
+    /// Write one encoded frame, then flush it.
     fn append_frame(
         &mut self,
         frame: &[u8],
         label: &'static str,
-        is_intent: bool,
         recorder: &dyn Recorder,
     ) -> WalResult<()> {
         self.storage.append(frame)?;
         recorder.counter_add("wal.appends", label, 1);
         recorder.counter_add("wal.bytes", "", frame.len() as u64);
-        let flush_now = match self.policy {
-            FsyncPolicy::EveryAppend => true,
-            FsyncPolicy::OnCommit => !is_intent,
-            FsyncPolicy::Manual => false,
-        };
-        if flush_now {
-            self.storage.flush()?;
-            recorder.counter_add("wal.flushes", "", 1);
-        }
+        self.storage.flush()?;
+        recorder.counter_add("wal.flushes", "", 1);
         Ok(())
     }
 }

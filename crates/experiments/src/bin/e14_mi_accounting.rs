@@ -9,7 +9,7 @@
 //! exponential-mechanism (Gibbs-selection) channel:
 //!
 //! * secrets `x ∈ {1..m}`, hypotheses `θ ∈ {1..k}` with
-//!   `p(θ|x) ∝ exp(λ·s_x(θ))`, scores in [0,1] — every pairwise row
+//!   `p(θ|x) ∝ exp(λ·s_x(θ))`, scores in `[0,1]` — every pairwise row
 //!   log-ratio is ≤ 2λ, so the channel is ε-DP with ε ≤ 2λ, and the
 //!   realized ε is measured exactly by the blocked row-ratio scan;
 //! * per query: `exact I(X;θ) ≤ ε·tanh(ε/2) ≤ ε` (the marginal is a

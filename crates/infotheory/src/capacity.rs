@@ -48,7 +48,7 @@ pub fn channel_capacity(kernel: &[Vec<f64>], tol: f64, max_iters: usize) -> Resu
     // DidNotConverge (every `upper − lower ≤ tol` comparison is false);
     // fail it fast with a typed error instead. `tol = 0` stays legal —
     // the bracket can legitimately collapse to exactly zero.
-    if !(tol >= 0.0) {
+    if tol.is_nan() || tol < 0.0 {
         return Err(InfoError::InvalidParameter {
             name: "tol",
             reason: format!("bracket tolerance must be nonnegative, got {tol}"),

@@ -14,14 +14,15 @@
 //!   pre-cache loop (per-call `σ.ln()` in the prior log-density, fresh
 //!   proposal vector every iteration). Retained samples are asserted
 //!   bit-identical.
-//! * `blahut_arimoto` — the scratch-reusing solver vs a replica with
-//!   the same fixed-chunk parallel structure that reallocates its row
-//!   logits and marginal and takes `nx·ny` logarithms per iteration.
-//!   Kernels and iteration counts are asserted identical. The section
-//!   also reports per-iteration dispatch overhead: each iteration runs
-//!   two parallel sections (row update + marginal), so it carries the
-//!   measured per-section cost of the persistent pool alongside what a
-//!   scoped-spawn dispatcher would have charged.
+//! * `blahut_arimoto` — the solver, which builds its Gibbs kernel `A`
+//!   once per solve, vs a replica with the same arithmetic order that
+//!   rebuilds `A` (`nx·ny` exponentials) into fresh buffers every
+//!   iteration. Kernels and iteration counts are asserted
+//!   identical. The section also reports per-iteration dispatch
+//!   overhead: each iteration runs two parallel sections (row pass +
+//!   column pass), so it carries the measured per-section cost of the
+//!   persistent pool alongside what a scoped-spawn dispatcher would have
+//!   charged.
 //! * `engine_batch` — the batch's dataset reads (counts, sums, rank
 //!   risks) replayed against the per-request linear scans the engine
 //!   used before `SufficientStats`, vs the sorted-copy reads it uses
@@ -45,7 +46,6 @@ use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
 use dplearn::mechanisms::exponential::ExponentialMechanism;
 use dplearn::mechanisms::privacy::Budget;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
-use dplearn::numerics::special::log_sum_exp;
 use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn::pacbayes::posterior::DiagGaussian;
 use std::hint::black_box;
@@ -249,11 +249,39 @@ fn ba_problem(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
     (source, distortion)
 }
 
-/// Blahut–Arimoto exactly as `ba_iterate` computed it before the scratch
-/// space: the same fixed-chunk parallel structure, but with a fresh logit
-/// vector per row, a fresh marginal per iteration, and a per-cell
-/// `ln r(y)` instead of the hoisted log-domain cache. Same update order,
-/// so the iterates are bit-identical.
+/// `Σ_y r(y)·a(y)` in the solver's association: four lanes by `y mod 4`,
+/// combined as `(l₀+l₁)+(l₂+l₃)`, then the leftover products in order.
+fn lane_sum(r: &[f64], a: &[f64]) -> f64 {
+    let full = r.len() - r.len() % 4;
+    let mut lanes = [0.0f64; 4];
+    for y in 0..full {
+        lanes[y % 4] += r[y] * a[y];
+    }
+    let mut tail = 0.0;
+    for y in full..r.len() {
+        tail += r[y] * a[y];
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
+/// The row-shifted Gibbs kernel `A(x,y) = exp(min_y β·d(x,y) − β·d(x,y))`
+/// of one row.
+fn gibbs_row(row_d: &[f64], beta: f64, out: &mut [f64]) {
+    let shift = row_d
+        .iter()
+        .map(|&d| beta * d)
+        .fold(f64::INFINITY, f64::min);
+    for (a, &d) in out.iter_mut().zip(row_d) {
+        *a = (shift - beta * d).exp();
+    }
+}
+
+/// Blahut–Arimoto's multiplicative iteration without the solver's cache:
+/// the same arithmetic order, with `A` built in parallel row chunks and
+/// the column pass in parallel column chunks, but `A` is rebuilt (one
+/// `exp` per cell) into fresh buffers every iteration instead of once
+/// per solve. No row of this problem needs the solver's log-space
+/// fallback (asserted), so the kernels are bit-identical.
 fn uncached_ba(
     source: &[f64],
     distortion: &[Vec<f64>],
@@ -261,53 +289,59 @@ fn uncached_ba(
     tol: f64,
     max_iters: usize,
 ) -> (Vec<Vec<f64>>, usize) {
-    let ny = distortion[0].len();
+    let (nx, ny) = (source.len(), distortion[0].len());
     let mut r = vec![1.0 / ny as f64; ny];
-    let mut kernel = vec![vec![0.0; ny]; source.len()];
+    let mut used = r.clone();
     let mut iterations = 0usize;
-    let row_chunk = source.len().div_ceil(64).max(1);
-    let col_chunk = ny.div_ceil(64).max(1);
+    let row_chunk = nx.div_ceil(64).max(1);
+    let col_chunk = ny.div_ceil(64).max(64);
     while iterations < max_iters {
         iterations += 1;
-        {
-            let r = &r;
-            dplearn::parallel::par_for_each_chunk_mut(
-                &mut kernel,
-                row_chunk,
-                |_chunk, start, rows| {
-                    for (offset, row) in rows.iter_mut().enumerate() {
-                        let row_d = &distortion[start + offset];
-                        let row_q: Vec<f64> = r
-                            .iter()
-                            .zip(row_d)
-                            .map(|(&ry, &dxy)| {
-                                if ry == 0.0 {
-                                    f64::NEG_INFINITY
-                                } else {
-                                    ry.ln() - beta * dxy
-                                }
-                            })
-                            .collect();
-                        let z = log_sum_exp(&row_q);
-                        for (q, lq) in row.iter_mut().zip(&row_q) {
-                            *q = (lq - z).exp();
-                        }
-                    }
-                },
-            );
-        }
+        let mut gibbs = vec![vec![0.0; ny]; nx];
+        // The solver's serial-cutover cost hints (≈ 8 ns per `A` cell,
+        // ≈ 1 ns per column-pass cell), so both sides parallelize alike.
+        dplearn::parallel::par_for_each_chunk_mut_with_cost(
+            &mut gibbs,
+            row_chunk,
+            8 * ny as u64,
+            |_chunk, start, rows| {
+                for (offset, row) in rows.iter_mut().enumerate() {
+                    gibbs_row(&distortion[start + offset], beta, row);
+                }
+            },
+        );
+        let weight: Vec<f64> = source
+            .iter()
+            .zip(&gibbs)
+            .map(|(&px, row)| {
+                let s = lane_sum(&r, row);
+                assert!(
+                    s >= 1e-16 && s.is_finite(),
+                    "row sum {s} needs the fallback"
+                );
+                if px == 0.0 {
+                    0.0
+                } else {
+                    px / s
+                }
+            })
+            .collect();
         let mut new_r = vec![0.0; ny];
         {
-            let kernel = &kernel;
-            dplearn::parallel::par_for_each_chunk_mut(
+            let (gibbs, r) = (&gibbs, &r);
+            dplearn::parallel::par_for_each_chunk_mut_with_cost(
                 &mut new_r,
                 col_chunk,
+                nx as u64,
                 |_chunk, start, cols| {
                     let width = cols.len();
-                    for (&px, row_q) in source.iter().zip(kernel) {
-                        for (nr, &q) in cols.iter_mut().zip(&row_q[start..start + width]) {
-                            *nr += px * q;
+                    for (&wx, row) in weight.iter().zip(gibbs) {
+                        for (c, &a) in cols.iter_mut().zip(&row[start..start + width]) {
+                            *c += wx * a;
                         }
+                    }
+                    for (c, &ry) in cols.iter_mut().zip(&r[start..start + width]) {
+                        *c *= ry;
                     }
                 },
             );
@@ -317,11 +351,28 @@ fn uncached_ba(
             .zip(&new_r)
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f64::max);
-        r = new_r;
+        used = std::mem::replace(&mut r, new_r);
         if gap < tol {
             break;
         }
     }
+    for ry in &mut used {
+        if *ry < f64::MIN_POSITIVE {
+            *ry = 0.0;
+        }
+    }
+    let mut a = vec![0.0; ny];
+    let kernel = distortion
+        .iter()
+        .map(|row_d| {
+            gibbs_row(row_d, beta, &mut a);
+            let s = lane_sum(&used, &a);
+            used.iter()
+                .zip(&a)
+                .map(|(&ry, &axy)| ry * axy / s)
+                .collect()
+        })
+        .collect();
     (kernel, iterations)
 }
 
@@ -550,6 +601,7 @@ fn main() {
     let requests = env_usize("DPLEARN_BENCH_REQUESTS", 64);
     let datasets = 4usize;
     let reps = 5usize;
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut sections: Vec<Section> = Vec::new();
     for &threads in &[1usize, 4] {
@@ -585,7 +637,7 @@ fn main() {
             threads,
             uncached: u,
             cached: c,
-            // Two parallel sections per iteration: row update + marginal.
+            // Two parallel sections per iteration: row pass + column pass.
             extra: format!(
                 "\"alphabet\": {ba_n}, \"iterations\": {iters}, \
                  \"parallel_sections_per_iteration\": 2, \
@@ -639,7 +691,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"hotpaths\",\n  \"reps\": {reps},\n  \"sections\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpaths\",\n  \"reps\": {reps},\n  \
+         \"hardware_threads\": {hardware_threads},\n  \"sections\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     let path =

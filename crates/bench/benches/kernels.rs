@@ -7,13 +7,12 @@
 //!   through the persistent worker pool vs a faithful scoped-spawn
 //!   replica of the pre-pool dispatcher (one `thread::scope` + helper
 //!   spawns per section). This is the overhead every Blahut–Arimoto
-//!   iteration pays twice (row update + marginal).
+//!   iteration pays twice (row pass + column pass).
 //! * `log_sum_exp` — the serial Kahan `log_sum_exp` vs the four-lane
 //!   `log_sum_exp_fast` across vector lengths.
 //! * `blahut_arimoto` — fixed-iteration BA solves (`tol = 0` runs
 //!   exactly `iters` iterations, so the work is identical at every
-//!   thread count) on alphabets up to 4096 symbols, default path vs the
-//!   `log_sum_exp_fast` row normalizers.
+//!   thread count) on alphabets up to 4096 symbols.
 //! * `leakage` — mutual information and min-entropy leakage of a dense
 //!   structured channel at large alphabet sizes.
 //!
@@ -30,7 +29,7 @@
 //! Not a criterion harness: the run *is* the measurement, so CI can
 //! treat it as a smoke test and scrape the JSON.
 
-use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_fast, RateDistortion};
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, RateDistortion};
 use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::leakage::min_entropy_leakage_bits;
 use dplearn::infotheory::InfoError;
@@ -168,18 +167,13 @@ fn run_fixed_iters(result: Result<RateDistortion, InfoError>) {
 }
 
 /// Time `iters` fixed BA iterations (tol = 0 never converges early, so
-/// every run does identical work at every thread count). Returns
-/// (default_path_seconds, fast_path_seconds).
-fn bench_ba(n: usize, iters: usize, reps: usize) -> (f64, f64) {
+/// every run does identical work at every thread count), in seconds.
+fn bench_ba(n: usize, iters: usize, reps: usize) -> f64 {
     let (source, distortion) = ba_problem(n);
     let beta = 8.0;
-    let default = median_secs(reps, || {
+    median_secs(reps, || {
         run_fixed_iters(blahut_arimoto(&source, &distortion, beta, 0.0, iters));
-    });
-    let fast = median_secs(reps, || {
-        run_fixed_iters(blahut_arimoto_fast(&source, &distortion, beta, 0.0, iters));
-    });
-    (default, fast)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -267,17 +261,16 @@ fn main() {
         }
 
         for &n in &ba_sizes {
-            let (default, fast) = bench_ba(n, ba_iters, reps);
+            let default = bench_ba(n, ba_iters, reps);
             let cells = (n * n * ba_iters) as f64;
             rows.push(Row {
                 section: "blahut_arimoto",
                 threads,
                 fields: format!(
                     "\"alphabet\": {n}, \"iterations\": {ba_iters}, \
-                     \"default_seconds\": {default:.6}, \"fast_seconds\": {fast:.6}, \
-                     \"default_cells_per_second\": {:.0}, \"fast_speedup\": {:.3}",
-                    cells / default,
-                    default / fast
+                     \"default_seconds\": {default:.6}, \
+                     \"default_cells_per_second\": {:.0}",
+                    cells / default
                 ),
             });
         }

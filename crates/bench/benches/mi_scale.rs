@@ -6,7 +6,9 @@
 //!
 //! * `blahut_arimoto` — fixed-iteration solves (`tol = 0` runs exactly
 //!   `iters` iterations, so the work is identical at every thread
-//!   count): the default serial path vs `blahut_arimoto_tiled`.
+//!   count): `blahut_arimoto` (`naive_seconds`) vs
+//!   `blahut_arimoto_tiled` with default options. Both run the same
+//!   kernel, so the two columns differ only by noise.
 //! * `mutual_information` — exact MI of a dense structured channel: the
 //!   boxed `DiscreteChannel::mutual_information` (naive Vec-of-Vec row
 //!   pass) vs `FlatChannel::mutual_information_blocked`.

@@ -16,6 +16,48 @@
 //! `π_OPT = E_Ẑ π̂` makes `E_Ẑ KL(π̂‖π)` equal the mutual information.
 //! Experiment E6 runs this iteration on the learning problem and checks
 //! the fixed point coincides with the Gibbs kernel.
+//!
+//! # The kernel
+//!
+//! Every entry point runs one kernel: Blahut's multiplicative form of the
+//! iteration (Blahut, *Computation of channel capacity and rate-distortion
+//! functions*, IEEE T-IT 1972). Once per solve it builds the row-shifted
+//! Gibbs kernel, in parallel over row tiles:
+//!
+//! ```text
+//! A(x,y) = exp(−(β·d(x,y) − min_y' β·d(x,y')))     (each row's largest entry is exactly 1)
+//! ```
+//!
+//! Each iteration is then two multiply-add passes over `A`, with no `exp`
+//! or `ln` and no writes to `A`:
+//!
+//! ```text
+//! row pass:     s_x = Σ_y r(y)·A(x,y),    w(x) = p(x)/s_x
+//! column pass:  r'(y) = r(y)·Σ_x w(x)·A(x,y)
+//! ```
+//!
+//! until the marginal moves less than `tol` in ℓ∞. The channel
+//! `q(y|x) = r(y)·A(x,y)/s_x` is built once, at the end, from the
+//! marginal the last sweep used.
+//!
+//! * **Determinism.** A row sum's association depends only on the row
+//!   length (four fixed lanes), and each column
+//!   accumulates in source order. No tile size and no `DPLEARN_THREADS`
+//!   value changes a bit.
+//! * **Log-space fallback.** A row whose `s_x` is below `1e-16`, or not
+//!   finite, takes the log-space row update instead (`ln r(y) − β·d(x,y)`
+//!   normalized by `log_sum_exp`), and its `p(x)·q(y|x)` enters the new
+//!   marginal after the column pass, in source order. A product
+//!   `r(y)·A(x,y)` below `f64::MIN_POSITIVE` carries an absolute error of
+//!   up to 2⁻¹⁰⁷⁴; after the division by `s_x` that error stays below
+//!   1e-290 only while `s_x > 2.2e-18`.
+//! * **Subnormal marginal.** Marginal entries below `f64::MIN_POSITIVE`
+//!   are set to 0 before the channel is built: their cells' mass
+//!   `p(x)·q(y|x)` can underflow out of the output marginal and make the
+//!   rate `+∞`.
+//! * **Certified bracket.** The same row and column sums give Blahut's
+//!   dual lower bound on `R(D)`, returned as
+//!   [`RateDistortion::rate_lower_bound`].
 
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
@@ -36,6 +78,18 @@ pub struct RateDistortion {
     pub iterations: usize,
     /// Final ℓ∞ change of the output marginal (convergence witness).
     pub final_gap: f64,
+    /// Blahut's dual lower bound on `R(D)` at the returned distortion
+    /// `D`, nats, so that `rate_lower_bound ≤ R(D) ≤ rate` (the
+    /// counterpart of `Capacity::bracket`):
+    ///
+    /// ```text
+    /// −β·D − Σ_x p(x)·(ln s_x − min_y β·d(x,y)) − ln max_y Σ_x w(x)·A(x,y)
+    /// ```
+    ///
+    /// with `s_x` and `w(x)` from the marginal the channel was built
+    /// from. Clamped to `[0, rate]`, and `0` when a positive-mass row's
+    /// `s_x` is zero: never NaN or `+∞`.
+    pub rate_lower_bound: f64,
 }
 
 /// Validate Blahut–Arimoto inputs, returning the output-alphabet size.
@@ -77,189 +131,301 @@ fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64) -> Result<usi
     Ok(ny)
 }
 
-/// State left by one [`ba_iterate`] run — kept even on non-convergence so
-/// a retry can damp the marginal and resume rather than start cold. The
-/// channel kernel itself lives in the [`BaScratch`] the run iterated in.
+/// Smallest row sum `s_x` the multiplicative row update divides by; a
+/// smaller or non-finite one takes the log-space update (see the module
+/// docs for why `1e-16`).
+const MIN_ROW_SUM: f64 = 1e-16;
+
+/// Approximate costs in [`dplearn_parallel::par_threshold`] units
+/// (≈ nanoseconds) of one cell: building `A` (a multiply, a subtraction
+/// and an `exp`), and one multiply-add in the row or column pass.
+const GIBBS_CELL_COST: u64 = 8;
+const ROW_CELL_COST: u64 = 1;
+const COL_CELL_COST: u64 = 1;
+
+/// `Σ_y r(y)·a(y)` over four fixed lanes: lane `k` adds the products at
+/// `y ≡ k (mod 4)` in order, the lanes combine as `(l₀+l₁)+(l₂+l₃)`, and
+/// the last `len mod 4` products, summed in order, are added at the end.
+/// The association depends only on the row length.
+fn row_sum(r: &[f64], a: &[f64]) -> f64 {
+    let (r4, a4) = (r.chunks_exact(4), a.chunks_exact(4));
+    let tail = r4
+        .remainder()
+        .iter()
+        .zip(a4.remainder())
+        .fold(0.0, |acc, (&ry, &ay)| acc + ry * ay);
+    let mut lanes = [0.0f64; 4];
+    for (rc, ac) in r4.zip(a4) {
+        for ((l, &ry), &ay) in lanes.iter_mut().zip(rc).zip(ac) {
+            *l += ry * ay;
+        }
+    }
+    let [l0, l1, l2, l3] = lanes;
+    (l0 + l1) + (l2 + l3) + tail
+}
+
+/// Whether the multiplicative row update may divide by `s`.
+fn row_sum_ok(s: f64) -> bool {
+    s >= MIN_ROW_SUM && s.is_finite()
+}
+
+/// `min_y β·d(x,y)`, the shift that makes a row of `A` peak at exactly 1.
+fn min_beta_d(row_d: &[f64], beta: f64) -> f64 {
+    row_d
+        .iter()
+        .map(|&d| beta * d)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The log-space row update for rows that fail [`row_sum_ok`]: fills `q`
+/// with `exp(l(y) − log_sum_exp(l))`, `l(y) = ln r(y) − β·d(x,y)` and
+/// `−∞` where `r(y) = 0`.
+fn log_space_row(q: &mut [f64], r: &[f64], row_d: &[f64], beta: f64) {
+    for ((l, &ry), &d) in q.iter_mut().zip(r).zip(row_d) {
+        *l = if ry == 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            ry.ln() - beta * d
+        };
+    }
+    let z = log_sum_exp(q);
+    for l in q.iter_mut() {
+        *l = (*l - z).exp();
+    }
+}
+
+/// State left by one [`ba_loop`] run — kept even on non-convergence so a
+/// retry can damp the marginal and resume rather than start cold.
 struct BaState {
+    /// The newest marginal.
     r: Vec<f64>,
     gap: f64,
     iterations: usize,
     converged: bool,
 }
 
-/// Preallocated working storage for [`ba_iterate`], built once per solve
-/// and reused across every iteration **and every retry attempt**: the
-/// channel kernel, the precomputed `β·d(x,y)` matrix (the distortion
-/// logs' data-independent half), the per-iteration `ln r(y)` cache, and
-/// the next-marginal accumulator.
-///
-/// The kernel and `β·d` matrices are **flat row-major** `nx·ny` buffers
-/// (row `x` occupies `[x·ny, (x+1)·ny)`): one contiguous allocation each
-/// instead of `nx` boxed rows, so the per-row logit sweep and the
-/// column-sliced marginal accumulation walk cache lines without pointer
-/// chasing and autovectorize. Flattening changes the *layout* only —
-/// every row slice sees the same values in the same order, so arithmetic
-/// order (and therefore every iterate) is unchanged bit for bit.
-///
-/// Caching `β·d` and `ln r` replaces the `nx·ny` logarithms the naive
-/// per-cell `ln r(y) − β·d(x,y)` evaluation pays per iteration with `ny`
-/// logarithms; every cached value is the identical subexpression the
-/// naive evaluation computes, so the iterates are bit-identical (pinned
-/// by `scratch_reuse_output_is_bit_identical_to_naive_reference`).
+/// Working storage for one solve, built once and shared by every
+/// iteration **and every retry attempt**. `gibbs` is the only `nx·ny`
+/// buffer; the rest are vectors of one alphabet.
 struct BaScratch {
-    /// Output-alphabet size: the row stride of `kernel` and `beta_d`.
+    /// Output-alphabet size: the row stride of `gibbs`.
     ny: usize,
-    /// `q(y|x)` as a flat row-major `nx·ny` matrix.
-    kernel: Vec<f64>,
-    /// `β·d(x,y)` as a flat row-major `nx·ny` matrix.
-    beta_d: Vec<f64>,
-    ln_r: Vec<f64>,
-    new_r: Vec<f64>,
+    /// Source rows per tile in the row pass and in building `gibbs`.
+    row_tile: usize,
+    /// Output columns per tile in the column pass.
+    col_tile: usize,
+    /// `A(x,y)`, flat row-major: row `x` occupies `[x·ny, (x+1)·ny)`.
+    gibbs: Vec<f64>,
+    /// Per row: `s_x` after the row pass, then `w(x)`.
+    weight: Vec<f64>,
+    /// Positive-mass rows that took the log-space update this sweep.
+    fallback: Vec<usize>,
+    /// The next marginal during a sweep; after it, the marginal the
+    /// sweep used (the two are swapped).
+    prev_r: Vec<f64>,
+    /// One log-space row for the fallback.
+    logits: Vec<f64>,
 }
 
 impl BaScratch {
-    fn new(distortion: &[Vec<f64>], beta: f64, ny: usize) -> Self {
+    // Row tiles are whole rows of validated length, so each chunk's
+    // first row index is `start / ny` and every row has `ny` distortions.
+    #[allow(clippy::indexing_slicing)]
+    fn new(distortion: &[Vec<f64>], beta: f64, ny: usize, opts: &BaTileOptions) -> Self {
         let nx = distortion.len();
-        let mut beta_d = Vec::with_capacity(nx * ny);
-        for row in distortion {
-            beta_d.extend(row.iter().map(|&d| beta * d));
-        }
+        // Tile geometry is fixed per problem size — never a function of
+        // the worker count. An explicit tile is clamped to the dimension
+        // it splits (a larger one is still one tile), so `row_tile * ny`
+        // cannot overflow.
+        let row_tile = if opts.row_tile > 0 {
+            opts.row_tile.min(nx)
+        } else {
+            nx.div_ceil(64).max(1)
+        };
+        let col_tile = if opts.col_tile > 0 {
+            opts.col_tile.min(ny)
+        } else {
+            ny.div_ceil(64).max(64)
+        };
+        // Every cell is independent, so any tiling gives the same bits;
+        // the workers also take the first-touch page faults.
+        let mut gibbs = vec![0.0; nx * ny];
+        dplearn_parallel::par_for_each_chunk_mut_with_cost(
+            &mut gibbs,
+            row_tile * ny,
+            GIBBS_CELL_COST,
+            |_chunk, start, cells| {
+                for (row_a, row_d) in cells.chunks_mut(ny).zip(&distortion[start / ny..]) {
+                    let shift = min_beta_d(row_d, beta);
+                    for (a, &d) in row_a.iter_mut().zip(row_d) {
+                        *a = (shift - beta * d).exp();
+                    }
+                }
+            },
+        );
         BaScratch {
             ny,
-            kernel: vec![0.0; nx * ny],
-            beta_d,
-            ln_r: vec![0.0; ny],
-            new_r: vec![0.0; ny],
+            row_tile,
+            col_tile,
+            gibbs,
+            weight: vec![0.0; nx],
+            fallback: Vec::new(),
+            prev_r: vec![0.0; ny],
+            logits: vec![0.0; ny],
         }
     }
 }
 
-/// Rebuild per-row `Vec`s from a flat row-major kernel — the boundary
-/// back to [`DiscreteChannel`], which owns its rows.
-fn rows_from_flat(flat: Vec<f64>, ny: usize) -> Vec<Vec<f64>> {
-    flat.chunks(ny).map(<[f64]>::to_vec).collect()
+/// Work counters from one run, recorded (sequentially, after the loop)
+/// by [`blahut_arimoto_tiled_recorded`] as `infotheory.ba.tiles` and
+/// `infotheory.ba.rows_converged`.
+#[derive(Debug, Clone, Copy, Default)]
+struct BaTileStats {
+    tiles: u64,
+    rows_converged: u64,
 }
 
-/// Approximate cost in [`dplearn_parallel::par_threshold`] units
-/// (≈ nanoseconds) of one kernel cell in the row update: a subtraction,
-/// its share of a `log_sum_exp`, and an `exp`.
-const ROW_CELL_COST: u64 = 16;
-
-/// The alternating-minimization loop from marginal `r`, for up to
-/// `max_iters` iterations or until the marginal moves < `tol` in ℓ∞.
-///
-/// `lse` is the row normalizer: [`log_sum_exp`] on the default
-/// bit-identical path, `log_sum_exp_fast` on the opt-in reordered-sum
-/// path (see [`blahut_arimoto_fast`]).
-// The chunked updates index rows/columns with offsets handed out by the
-// parallel scheduler, all bounded by the validated kernel dimensions.
+/// The iteration loop from marginal `r`, for up to `max_iters`
+/// iterations or until the marginal moves < `tol` in ℓ∞. On return,
+/// `scratch.prev_r` holds the marginal the last computed sweep used.
+// Tile offsets are handed out by the parallel scheduler and bounded by
+// the validated dimensions; fallback rows index validated rows.
 #[allow(clippy::indexing_slicing)]
-fn ba_iterate(
+#[allow(clippy::too_many_arguments)]
+fn ba_loop(
     source: &[f64],
+    distortion: &[Vec<f64>],
+    beta: f64,
     tol: f64,
     max_iters: usize,
     mut r: Vec<f64>,
     scratch: &mut BaScratch,
+    opts: &BaTileOptions,
     recorder: &dyn Recorder,
-    lse: fn(&[f64]) -> f64,
+    stats: &mut BaTileStats,
 ) -> BaState {
     let BaScratch {
         ny,
-        kernel,
-        beta_d,
-        ln_r,
-        new_r,
+        row_tile,
+        col_tile,
+        gibbs,
+        weight,
+        fallback,
+        prev_r,
+        logits,
     } = scratch;
-    let ny = *ny;
+    let (ny, row_tile, col_tile) = (*ny, *row_tile, *col_tile);
+    let gibbs = &*gibbs;
     let nx = source.len();
-    let beta_d = &*beta_d;
     let mut gap = f64::INFINITY;
     let mut iterations = 0;
     // Hoisted so the noop path pays one virtual call per run, not one
     // per iteration.
     let observe = recorder.enabled();
-    // Fixed chunk sizes (independent of the worker count — part of the
-    // determinism contract; see dplearn-parallel). Row updates are
-    // per-row independent, and the marginal is accumulated per *column*
-    // in source order, so both stages are bit-identical to the serial
-    // loops at every thread count. Row chunks are sized in *cells* but
-    // always a whole number of rows, so chunk boundaries never split a
-    // row.
-    let row_chunk_cells = source.len().div_ceil(64).max(1) * ny;
-    let col_chunk = new_r.len().div_ceil(64).max(1);
-    // Per-column cost of the marginal update: one fused multiply-add per
-    // source letter.
-    let col_cost = (2 * nx) as u64;
+    let prune = opts.prune_zero_mass;
+    // Rows the sweeps actually visit (for the rows_converged counter).
+    let active_rows = if prune {
+        source.iter().filter(|&&px| px != 0.0).count()
+    } else {
+        nx
+    } as u64;
+    let iter_tiles = (nx.div_ceil(row_tile) + ny.div_ceil(col_tile)) as u64;
+    // Set once the marginal is bitwise stationary: `gap == 0.0` means
+    // `r` and the marginal the sweep used agree bit for bit (every entry
+    // is a nonnegative sum, so there is no −0.0/+0.0 ambiguity and no
+    // NaN), and the next sweep is a pure function of `r` — recomputing it
+    // must reproduce the marginal and a zero gap exactly.
+    let mut frozen = false;
     while iterations < max_iters {
         iterations += 1;
-        // The data-dependent half of the logits, once per iteration
-        // instead of once per cell: ln r(y), with zero-mass letters
-        // pinned to −∞ exactly as the per-cell branch did.
-        for (l, &ry) in ln_r.iter_mut().zip(&r) {
-            *l = if ry == 0.0 {
-                f64::NEG_INFINITY
+        if frozen {
+            stats.rows_converged += active_rows;
+            if observe {
+                recorder.histogram_record("infotheory.ba.gap", "", 0.0);
+            }
+            if gap < tol {
+                break;
+            }
+            continue;
+        }
+        stats.tiles += iter_tiles;
+        // Row pass: s_x, in parallel over row tiles.
+        {
+            let r = &r;
+            dplearn_parallel::par_for_each_chunk_mut_with_cost(
+                weight,
+                row_tile,
+                ny as u64 * ROW_CELL_COST,
+                |_chunk, start, sums| {
+                    for (x, s) in (start..).zip(sums.iter_mut()) {
+                        if prune && source[x] == 0.0 {
+                            continue;
+                        }
+                        *s = row_sum(r, &gibbs[x * ny..(x + 1) * ny]);
+                    }
+                },
+            );
+        }
+        // w(x) = p(x)/s_x. A zero-mass row has w(x) = 0, so the column
+        // pass adds exact +0.0 for it whether or not it was pruned.
+        fallback.clear();
+        for (x, (w, &px)) in weight.iter_mut().zip(source).enumerate() {
+            *w = if px == 0.0 {
+                0.0
+            } else if row_sum_ok(*w) {
+                px / *w
             } else {
-                ry.ln()
+                fallback.push(x);
+                0.0
             };
         }
-        // Update channel rows: q(y|x) ∝ r(y) exp(−β d(x,y)) — the Gibbs
-        // kernel with prior r. Rows are independent Gibbs updates, so
-        // they parallelize freely. The logits are written into the
-        // kernel row itself and exponentiated in place: no per-row
-        // allocation, and both matrices are one contiguous sweep.
+        // Column pass, in parallel over column tiles: each column sums
+        // its rows in source order, whatever the tile.
         {
-            let ln_r = &*ln_r;
+            let (r, weight) = (&r, &*weight);
             dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                kernel,
-                row_chunk_cells,
-                ROW_CELL_COST,
-                |_chunk, start, cells| {
-                    for (offset_row, row_q) in cells.chunks_mut(ny).enumerate() {
-                        let row0 = start + offset_row * ny;
-                        let row_bd = &beta_d[row0..row0 + ny];
-                        for ((q, &l), &bd) in row_q.iter_mut().zip(ln_r).zip(row_bd) {
-                            *q = l - bd;
+                prev_r,
+                col_tile,
+                nx as u64 * COL_CELL_COST,
+                |_chunk, start, cols| {
+                    cols.fill(0.0);
+                    let width = cols.len();
+                    for (x, &wx) in weight.iter().enumerate() {
+                        if prune && source[x] == 0.0 {
+                            continue;
                         }
-                        let z = lse(row_q);
-                        for q in row_q.iter_mut() {
-                            *q = (*q - z).exp();
+                        let row0 = x * ny + start;
+                        for (c, &a) in cols.iter_mut().zip(&gibbs[row0..row0 + width]) {
+                            *c += wx * a;
                         }
+                    }
+                    for (c, &ry) in cols.iter_mut().zip(&r[start..start + width]) {
+                        *c *= ry;
                     }
                 },
             );
         }
-        // Update output marginal r(y) = Σ_x p(x) q(y|x), parallel over
-        // output columns: each column sums its x-contributions in source
-        // order, reproducing the serial accumulation exactly.
-        new_r.fill(0.0);
-        {
-            let kernel = &*kernel;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                new_r,
-                col_chunk,
-                col_cost,
-                |_chunk, start, cols| {
-                    let width = cols.len();
-                    for (x, &px) in source.iter().enumerate() {
-                        let row0 = x * ny + start;
-                        for (nr, &q) in cols.iter_mut().zip(&kernel[row0..row0 + width]) {
-                            *nr += px * q;
-                        }
-                    }
-                },
-            );
+        for &x in fallback.iter() {
+            log_space_row(logits, &r, &distortion[x], beta);
+            let px = source[x];
+            for (nr, &q) in prev_r.iter_mut().zip(logits.iter()) {
+                *nr += px * q;
+            }
         }
         gap = r
             .iter()
-            .zip(&*new_r)
+            .zip(&*prev_r)
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f64::max);
-        std::mem::swap(&mut r, new_r);
+        std::mem::swap(&mut r, prev_r);
         // Recorded from the sequential outer loop: the gap sequence is
         // a pure function of (source, distortion, beta, r₀), so the
         // histogram is bit-identical at every thread count.
         if observe {
             recorder.histogram_record("infotheory.ba.gap", "", gap);
+        }
+        if opts.frozen_early_exit && gap == 0.0 {
+            frozen = true;
         }
         if gap < tol {
             break;
@@ -273,17 +439,51 @@ fn ba_iterate(
     }
 }
 
-/// Package a converged state as a [`RateDistortion`], taking ownership of
-/// the flat row-major kernel the run left in its scratch space.
+/// Build the channel `q(y|x) = r(y)·A(x,y)/s_x` from the marginal the
+/// last sweep used (`scratch.prev_r`), with its rate, distortion and
+/// rate lower bound. Zero-mass and fallback rows are built here too.
 fn ba_finalize(
     source: &[f64],
     distortion: &[Vec<f64>],
-    kernel: Vec<f64>,
-    ny: usize,
-    state: BaState,
-    total_iterations: usize,
+    beta: f64,
+    scratch: &mut BaScratch,
+    final_gap: f64,
+    iterations: usize,
 ) -> Result<RateDistortion> {
-    let channel = DiscreteChannel::new(source.to_vec(), rows_from_flat(kernel, ny))?;
+    let ny = scratch.ny;
+    for ry in scratch.prev_r.iter_mut() {
+        if *ry < f64::MIN_POSITIVE {
+            *ry = 0.0;
+        }
+    }
+    let r = &scratch.prev_r;
+    let mut kernel = Vec::with_capacity(source.len());
+    // Blahut's bound: c(y) = Σ_x w(x)·A(x,y), fallback rows included,
+    // and Σ_x p(x)·ln Σ_y r(y)·exp(−β·d(x,y)).
+    let mut c = vec![0.0; ny];
+    let mut log_norm = 0.0;
+    let mut bounded = true;
+    for ((&px, row_d), a_x) in source.iter().zip(distortion).zip(scratch.gibbs.chunks(ny)) {
+        let s = row_sum(r, a_x);
+        let mut q = vec![0.0; ny];
+        if row_sum_ok(s) {
+            for ((q, &ry), &a) in q.iter_mut().zip(r).zip(a_x) {
+                *q = ry * a / s;
+            }
+        } else {
+            log_space_row(&mut q, r, row_d, beta);
+        }
+        if px != 0.0 {
+            bounded &= s > 0.0;
+            log_norm += px * (s.ln() - min_beta_d(row_d, beta));
+            let w = px / s;
+            for (cy, &a) in c.iter_mut().zip(a_x) {
+                *cy += w * a;
+            }
+        }
+        kernel.push(q);
+    }
+    let channel = DiscreteChannel::new(source.to_vec(), kernel)?;
     let rate = channel.mutual_information();
     let mut dist = 0.0;
     for ((&px, row_q), row_d) in source.iter().zip(channel.kernel()).zip(distortion) {
@@ -291,12 +491,21 @@ fn ba_finalize(
             dist += px * q * d;
         }
     }
+    let lower = if bounded {
+        let max_c = c.iter().copied().fold(0.0, f64::max);
+        -beta * dist - log_norm - max_c.ln()
+    } else {
+        0.0
+    };
     Ok(RateDistortion {
         channel,
         rate,
         distortion: dist,
-        iterations: total_iterations,
-        final_gap: state.gap,
+        iterations,
+        final_gap,
+        // `max` maps a NaN to 0; `min` keeps rounding from lifting the
+        // bound above the rate it brackets.
+        rate_lower_bound: lower.max(0.0).min(rate),
     })
 }
 
@@ -306,7 +515,8 @@ fn ba_finalize(
 /// Converges when the output marginal moves less than `tol` in ℓ∞, or
 /// errors after `max_iters`. For a self-healing variant that escalates
 /// its iteration budget instead of erroring, see
-/// [`blahut_arimoto_with_retry`].
+/// [`blahut_arimoto_with_retry`]. The same kernel as
+/// [`blahut_arimoto_tiled`] with default options.
 pub fn blahut_arimoto(
     source: &[f64],
     distortion: &[Vec<f64>],
@@ -314,64 +524,13 @@ pub fn blahut_arimoto(
     tol: f64,
     max_iters: usize,
 ) -> Result<RateDistortion> {
-    ba_run(source, distortion, beta, tol, max_iters, log_sum_exp)
-}
-
-/// [`blahut_arimoto`] on the **reordered-sum fast path**: row normalizers
-/// use `log_sum_exp_fast` (four-lane uncompensated exp-sum) instead of
-/// the serial Kahan [`log_sum_exp`].
-///
-/// Per the workspace pinning contract this path is *not* bit-identical
-/// to [`blahut_arimoto`] — the per-row sums associate differently, so
-/// iterates drift by ulps — but it converges to the same fixed point:
-/// the `fast_path_reaches_the_same_fixed_point` test pins closeness of
-/// rate/distortion and a tiny [`gibbs_fixed_point_gap`], and the
-/// `kernel_fastpaths` suite pins distribution-equivalence. It *is*
-/// thread-count invariant: the lane reassociation is fixed per row, not
-/// scheduling-dependent.
-pub fn blahut_arimoto_fast(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<RateDistortion> {
-    ba_run(
+    blahut_arimoto_tiled(
         source,
         distortion,
         beta,
         tol,
         max_iters,
-        dplearn_numerics::special::log_sum_exp_fast,
-    )
-}
-
-fn ba_run(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-    lse: fn(&[f64]) -> f64,
-) -> Result<RateDistortion> {
-    let ny = validate_ba(source, distortion, beta)?;
-    // Start from the uniform output marginal.
-    let r = vec![1.0 / ny as f64; ny];
-    let mut scratch = BaScratch::new(distortion, beta, ny);
-    let state = ba_iterate(source, tol, max_iters, r, &mut scratch, &NoopRecorder, lse);
-    if !state.converged {
-        return Err(InfoError::DidNotConverge {
-            iterations: state.iterations,
-        });
-    }
-    let total = state.iterations;
-    ba_finalize(
-        source,
-        distortion,
-        std::mem::take(&mut scratch.kernel),
-        ny,
-        state,
-        total,
+        &BaTileOptions::default(),
     )
 }
 
@@ -429,12 +588,25 @@ pub fn blahut_arimoto_with_retry_recorded(
     let mut r = vec![uniform; ny];
     let mut total_iterations = 0usize;
     let observe = recorder.enabled();
-    // One scratch space (kernel, β·d matrix, marginal buffers) shared by
-    // every retry attempt — restarts re-enter with warm allocations.
-    let mut scratch = BaScratch::new(distortion, beta, ny);
+    // One scratch space (`A` and the marginal buffers) shared by every
+    // retry attempt — restarts re-enter with `A` already built.
+    let opts = BaTileOptions::default();
+    let mut scratch = BaScratch::new(distortion, beta, ny, &opts);
+    let mut stats = BaTileStats::default();
     for attempt in 0..policy.max_attempts {
         let budget = policy.budget_for(attempt);
-        let state = ba_iterate(source, tol, budget, r, &mut scratch, recorder, log_sum_exp);
+        let state = ba_loop(
+            source,
+            distortion,
+            beta,
+            tol,
+            budget,
+            r,
+            &mut scratch,
+            &opts,
+            recorder,
+            &mut stats,
+        );
         total_iterations = total_iterations.saturating_add(state.iterations);
         if state.converged {
             let report = ConvergenceReport {
@@ -452,9 +624,9 @@ pub fn blahut_arimoto_with_retry_recorded(
             let rd = ba_finalize(
                 source,
                 distortion,
-                std::mem::take(&mut scratch.kernel),
-                ny,
-                state,
+                beta,
+                &mut scratch,
+                state.gap,
                 total_iterations,
             )?;
             return Ok((rd, report));
@@ -481,33 +653,31 @@ pub fn blahut_arimoto_with_retry_recorded(
 
 /// Tiling and acceleration options for [`blahut_arimoto_tiled`].
 ///
-/// The defaults reproduce [`blahut_arimoto`] bit for bit: auto tile
-/// sizing picks the same chunk geometry as the default path, and both
-/// accelerators (zero-mass pruning, frozen early-exit) are *exact* —
-/// they skip only work whose result is provably bit-identical to
-/// recomputing it, so they are safe to leave on (pinned by
-/// `tiled_defaults_are_bit_identical_to_the_default_path`).
+/// No option value changes a bit of the result: tile boundaries never
+/// change an accumulation order, and both accelerators (zero-mass
+/// pruning, frozen early-exit) are *exact* — they skip only work whose
+/// result is provably bit-identical to recomputing it, so they are safe
+/// to leave on (pinned by `tiled_is_bit_identical_across_tile_sizes`).
 #[derive(Debug, Clone)]
 pub struct BaTileOptions {
-    /// Source rows per parallel tile in the kernel sweep
-    /// (`0` = auto: `nx/64`, the default path's geometry).
+    /// Source rows per parallel tile in the row pass and in building `A`
+    /// (`0` = auto: `nx/64`).
     pub row_tile: usize,
-    /// Output columns per parallel tile in the marginal sweep
-    /// (`0` = auto: `ny/64`).
+    /// Output columns per parallel tile in the column pass
+    /// (`0` = auto: `ny/64`, but at least 64 columns).
     pub col_tile: usize,
-    /// Skip zero-mass source rows in both sweeps. Their marginal
-    /// contributions are exact `+0.0` terms (no-ops on the never-negative
-    /// accumulators), and their kernel rows are reconstructed at
-    /// finalization from the same `ln r` and normalizer the skipped
-    /// sweep would have used — bit-identical either way.
+    /// Skip zero-mass source rows in both passes. Such a row has
+    /// `w(x) = 0`, so its column-pass terms are exact `+0.0` no-ops on
+    /// the never-negative accumulators; the final channel still builds
+    /// its row — bit-identical either way.
     pub prune_zero_mass: bool,
     /// Once an iteration leaves the marginal bitwise unchanged
-    /// (ℓ∞ gap exactly `0.0`), every subsequent row update and marginal
-    /// are provably identical to the last computed ones, so the sweeps
-    /// are skipped; iteration counting and gap telemetry continue
-    /// exactly as if they had run. Only reachable when `tol ≤ 0`
-    /// (a positive tolerance stops at the first zero gap anyway) — the
-    /// fixed-iteration benchmarking pattern this crate's benches use.
+    /// (ℓ∞ gap exactly `0.0`), every subsequent sweep is provably
+    /// identical to the last computed one, so the sweeps are skipped;
+    /// iteration counting and gap telemetry continue exactly as if they
+    /// had run. Only reachable when `tol ≤ 0` (a positive tolerance
+    /// stops at the first zero gap anyway) — the fixed-iteration
+    /// benchmarking pattern this crate's benches use.
     pub frozen_early_exit: bool,
 }
 
@@ -518,202 +688,6 @@ impl Default for BaTileOptions {
             col_tile: 0,
             prune_zero_mass: true,
             frozen_early_exit: true,
-        }
-    }
-}
-
-/// Work counters from one tiled run, recorded (sequentially, after the
-/// loop) as `infotheory.ba.tiles` and `infotheory.ba.rows_converged`.
-#[derive(Debug, Clone, Copy, Default)]
-struct BaTileStats {
-    tiles: u64,
-    rows_converged: u64,
-}
-
-/// The tiled alternating-minimization loop: [`ba_iterate`] with
-/// configurable tile geometry, zero-mass row pruning, and the frozen
-/// early-exit. Kept separate so the default path's loop stays verbatim.
-// Chunk offsets are handed out by the parallel scheduler and bounded by
-// the validated kernel dimensions, like `ba_iterate`'s.
-#[allow(clippy::indexing_slicing)]
-#[allow(clippy::too_many_arguments)]
-fn ba_iterate_tiled(
-    source: &[f64],
-    tol: f64,
-    max_iters: usize,
-    mut r: Vec<f64>,
-    scratch: &mut BaScratch,
-    recorder: &dyn Recorder,
-    lse: fn(&[f64]) -> f64,
-    opts: &BaTileOptions,
-    stats: &mut BaTileStats,
-) -> BaState {
-    let BaScratch {
-        ny,
-        kernel,
-        beta_d,
-        ln_r,
-        new_r,
-    } = scratch;
-    let ny = *ny;
-    let nx = source.len();
-    let beta_d = &*beta_d;
-    let mut gap = f64::INFINITY;
-    let mut iterations = 0;
-    let observe = recorder.enabled();
-    let prune = opts.prune_zero_mass;
-    // Rows the sweeps actually visit (for the rows_converged counter).
-    let active_rows = if prune {
-        source.iter().filter(|&&px| px != 0.0).count()
-    } else {
-        nx
-    } as u64;
-    // Tile geometry: explicit sizes, or the default path's `n/64`
-    // heuristic. Fixed per problem size — never a function of the
-    // worker count — preserving the determinism contract. An explicit
-    // tile is clamped to the dimension it splits (a larger one is still
-    // one tile), so `row_tile_rows * ny` cannot overflow.
-    let row_tile_rows = if opts.row_tile > 0 {
-        opts.row_tile.min(nx)
-    } else {
-        nx.div_ceil(64).max(1)
-    };
-    let col_tile = if opts.col_tile > 0 {
-        opts.col_tile.min(ny)
-    } else {
-        ny.div_ceil(64).max(1)
-    };
-    let row_chunk_cells = row_tile_rows * ny;
-    let iter_tiles = (nx.div_ceil(row_tile_rows) + ny.div_ceil(col_tile)) as u64;
-    let col_cost = (2 * nx) as u64;
-    // Set once the marginal is bitwise stationary: `gap == 0.0` means
-    // `r` and `new_r` agree bit for bit (every entry is a nonnegative
-    // sum, so there is no −0.0/+0.0 ambiguity and no NaN), and the next
-    // iteration is a pure function of `r` — recomputing it must
-    // reproduce the kernel, the marginal, and a zero gap exactly.
-    let mut frozen = false;
-    while iterations < max_iters {
-        iterations += 1;
-        if frozen {
-            stats.rows_converged += active_rows;
-            if observe {
-                recorder.histogram_record("infotheory.ba.gap", "", 0.0);
-            }
-            if gap < tol {
-                break;
-            }
-            continue;
-        }
-        stats.tiles += iter_tiles;
-        for (l, &ry) in ln_r.iter_mut().zip(&r) {
-            *l = if ry == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                ry.ln()
-            };
-        }
-        {
-            let ln_r = &*ln_r;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                kernel,
-                row_chunk_cells,
-                ROW_CELL_COST,
-                |_chunk, start, cells| {
-                    for (offset_row, row_q) in cells.chunks_mut(ny).enumerate() {
-                        let row0 = start + offset_row * ny;
-                        // A pruned row's kernel cells are not read by the
-                        // marginal sweep below and are rebuilt exactly at
-                        // finalization, so its (stale) contents are dead.
-                        if prune && source[row0 / ny] == 0.0 {
-                            continue;
-                        }
-                        let row_bd = &beta_d[row0..row0 + ny];
-                        for ((q, &l), &bd) in row_q.iter_mut().zip(ln_r).zip(row_bd) {
-                            *q = l - bd;
-                        }
-                        let z = lse(row_q);
-                        for q in row_q.iter_mut() {
-                            *q = (*q - z).exp();
-                        }
-                    }
-                },
-            );
-        }
-        new_r.fill(0.0);
-        {
-            let kernel = &*kernel;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                new_r,
-                col_tile,
-                col_cost,
-                |_chunk, start, cols| {
-                    let width = cols.len();
-                    for (x, &px) in source.iter().enumerate() {
-                        // p(x) = 0 terms are exact +0.0 no-ops on the
-                        // nonnegative accumulators.
-                        if prune && px == 0.0 {
-                            continue;
-                        }
-                        let row0 = x * ny + start;
-                        for (nr, &q) in cols.iter_mut().zip(&kernel[row0..row0 + width]) {
-                            *nr += px * q;
-                        }
-                    }
-                },
-            );
-        }
-        gap = r
-            .iter()
-            .zip(&*new_r)
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        std::mem::swap(&mut r, new_r);
-        if observe {
-            recorder.histogram_record("infotheory.ba.gap", "", gap);
-        }
-        if opts.frozen_early_exit && gap == 0.0 {
-            frozen = true;
-        }
-        if gap < tol {
-            break;
-        }
-    }
-    BaState {
-        r,
-        gap,
-        iterations,
-        converged: gap < tol,
-    }
-}
-
-/// Rebuild the kernel rows of pruned (zero-mass) source symbols from the
-/// last computed `ln r` — the identical logits, normalizer, and
-/// exponentiation the skipped row sweep would have produced, so the
-/// finalized kernel is bit-identical to the unpruned run's.
-// Row offsets are products of validated dimensions.
-#[allow(clippy::indexing_slicing)]
-fn ba_fill_pruned_rows(source: &[f64], scratch: &mut BaScratch, lse: fn(&[f64]) -> f64) {
-    let BaScratch {
-        ny,
-        kernel,
-        beta_d,
-        ln_r,
-        ..
-    } = scratch;
-    let ny = *ny;
-    for (x, &px) in source.iter().enumerate() {
-        if px != 0.0 {
-            continue;
-        }
-        let row0 = x * ny;
-        let row_q = &mut kernel[row0..row0 + ny];
-        let row_bd = &beta_d[row0..row0 + ny];
-        for ((q, &l), &bd) in row_q.iter_mut().zip(&*ln_r).zip(row_bd) {
-            *q = l - bd;
-        }
-        let z = lse(row_q);
-        for q in row_q.iter_mut() {
-            *q = (*q - z).exp();
         }
     }
 }
@@ -762,17 +736,18 @@ pub fn blahut_arimoto_tiled_recorded(
 ) -> Result<RateDistortion> {
     let ny = validate_ba(source, distortion, beta)?;
     let r = vec![1.0 / ny as f64; ny];
-    let mut scratch = BaScratch::new(distortion, beta, ny);
+    let mut scratch = BaScratch::new(distortion, beta, ny, opts);
     let mut stats = BaTileStats::default();
-    let state = ba_iterate_tiled(
+    let state = ba_loop(
         source,
+        distortion,
+        beta,
         tol,
         max_iters,
         r,
         &mut scratch,
-        recorder,
-        lse_of(opts),
         opts,
+        recorder,
         &mut stats,
     );
     if recorder.enabled() {
@@ -784,25 +759,14 @@ pub fn blahut_arimoto_tiled_recorded(
             iterations: state.iterations,
         });
     }
-    if opts.prune_zero_mass {
-        ba_fill_pruned_rows(source, &mut scratch, lse_of(opts));
-    }
-    let total = state.iterations;
     ba_finalize(
         source,
         distortion,
-        std::mem::take(&mut scratch.kernel),
-        ny,
-        state,
-        total,
+        beta,
+        &mut scratch,
+        state.gap,
+        state.iterations,
     )
-}
-
-/// The tiled path always normalizes with the bit-identical
-/// [`log_sum_exp`]; indirection kept so a future fast-path variant can
-/// reuse the plumbing.
-fn lse_of(_opts: &BaTileOptions) -> fn(&[f64]) -> f64 {
-    log_sum_exp
 }
 
 /// ℓ∞ distance between a channel's rows and the Gibbs kernel built from a
@@ -862,6 +826,14 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
+    }
+
+    fn rel_err(a: f64, b: f64) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            (a - b).abs() / a.abs().max(b.abs())
+        }
     }
 
     fn hamming(n: usize) -> Vec<Vec<f64>> {
@@ -931,9 +903,9 @@ mod tests {
         }
     }
 
-    /// The pre-scratch-reuse iteration, verbatim: fresh allocations per
-    /// iteration, per-cell `ln r(y) − β·d(x,y)` logits, serial loops.
-    /// Regression reference for the allocation-churn fix.
+    /// The log-space iteration the multiplicative kernel replaced:
+    /// per-cell `ln r(y) − β·d(x,y)` logits, a Kahan `log_sum_exp` per
+    /// row, two `exp` per cell, serial loops. The tolerance oracle.
     fn naive_ba_reference(
         source: &[f64],
         distortion: &[Vec<f64>],
@@ -983,41 +955,160 @@ mod tests {
         (kernel, r, iterations)
     }
 
-    #[test]
-    fn scratch_reuse_output_is_bit_identical_to_naive_reference() {
-        // The reused-scratch solver must reproduce the naive
-        // allocate-per-iteration iteration bit for bit, across symmetric
-        // and asymmetric sources and a hard β that runs many iterations.
-        let cases: Vec<(Vec<f64>, Vec<Vec<f64>>, f64)> = vec![
-            (vec![0.3, 0.45, 0.25], hamming(3), 2.5),
-            (vec![0.2, 0.8], hamming(2), 5.0),
-            (
-                vec![0.3, 0.45, 0.25],
-                vec![
-                    vec![0.0, 0.6, 1.0],
-                    vec![0.5, 0.0, 0.4],
-                    vec![1.0, 0.7, 0.0],
-                ],
-                3.0,
-            ),
-        ];
-        for (source, distortion, beta) in cases {
-            let (tol, max_iters) = (1e-13, 50_000);
-            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
-            let (want_kernel, _, want_iters) =
-                naive_ba_reference(&source, &distortion, beta, tol, max_iters);
-            assert_eq!(rd.iterations, want_iters);
-            for (row, want_row) in rd.channel.kernel().iter().zip(&want_kernel) {
-                for (&q, &wq) in row.iter().zip(want_row) {
-                    assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted at β={beta}");
+    /// The multiplicative iteration as plain serial loops over boxed rows,
+    /// with fresh buffers every iteration: the bit-exact reference for
+    /// every entry point. Returns the channel built from the marginal the
+    /// last sweep used, and the iteration count.
+    fn serial_reference(
+        source: &[f64],
+        distortion: &[Vec<f64>],
+        beta: f64,
+        tol: f64,
+        max_iters: usize,
+    ) -> (Vec<Vec<f64>>, usize) {
+        let (nx, ny) = (source.len(), distortion[0].len());
+        let gibbs: Vec<Vec<f64>> = distortion
+            .iter()
+            .map(|row| {
+                let shift = row.iter().map(|&d| beta * d).fold(f64::INFINITY, f64::min);
+                row.iter().map(|&d| (shift - beta * d).exp()).collect()
+            })
+            .collect();
+        // Four lanes by index, then the tail in order.
+        let lane_sum = |r: &[f64], a: &[f64]| {
+            let full = ny - ny % 4;
+            let mut lanes = [0.0f64; 4];
+            for y in 0..full {
+                lanes[y % 4] += r[y] * a[y];
+            }
+            let mut tail = 0.0;
+            for y in full..ny {
+                tail += r[y] * a[y];
+            }
+            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+        };
+        let log_space = |r: &[f64], x: usize| {
+            let logits: Vec<f64> = (0..ny)
+                .map(|y| {
+                    if r[y] == 0.0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        r[y].ln() - beta * distortion[x][y]
+                    }
+                })
+                .collect();
+            let z = log_sum_exp(&logits);
+            logits.iter().map(|&l| (l - z).exp()).collect::<Vec<f64>>()
+        };
+        let ok = |s: f64| s >= 1e-16 && s.is_finite();
+        let mut r = vec![1.0 / ny as f64; ny];
+        let mut used = r.clone();
+        let mut iterations = 0;
+        while iterations < max_iters {
+            iterations += 1;
+            let mut w = vec![0.0; nx];
+            let mut fallback = Vec::new();
+            for x in 0..nx {
+                if source[x] != 0.0 {
+                    let s = lane_sum(&r, &gibbs[x]);
+                    if ok(s) {
+                        w[x] = source[x] / s;
+                    } else {
+                        fallback.push(x);
+                    }
                 }
             }
+            let mut next = vec![0.0; ny];
+            for y in 0..ny {
+                for x in 0..nx {
+                    next[y] += w[x] * gibbs[x][y];
+                }
+                next[y] *= r[y];
+            }
+            for &x in &fallback {
+                let q = log_space(&r, x);
+                for y in 0..ny {
+                    next[y] += source[x] * q[y];
+                }
+            }
+            let gap = (0..ny).map(|y| (r[y] - next[y]).abs()).fold(0.0, f64::max);
+            used = std::mem::replace(&mut r, next);
+            if gap < tol {
+                break;
+            }
+        }
+        for ry in &mut used {
+            if *ry < f64::MIN_POSITIVE {
+                *ry = 0.0;
+            }
+        }
+        let kernel = (0..nx)
+            .map(|x| {
+                let s = lane_sum(&used, &gibbs[x]);
+                if ok(s) {
+                    (0..ny).map(|y| used[y] * gibbs[x][y] / s).collect()
+                } else {
+                    log_space(&used, x)
+                }
+            })
+            .collect();
+        (kernel, iterations)
+    }
+
+    fn assert_kernel_bits(got: &RateDistortion, want: &[Vec<f64>], what: &str) {
+        for (row, want_row) in got.channel.kernel().iter().zip(want) {
+            for (&q, &wq) in row.iter().zip(want_row) {
+                assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted: {what}");
+            }
+        }
+    }
+
+    /// Sources with and without zero-mass symbols, an asymmetric
+    /// distortion that runs many iterations, and a 6-symbol ring whose
+    /// row length is not a multiple of the four row-sum lanes.
+    fn bit_identity_cases() -> Vec<(Vec<f64>, Vec<Vec<f64>>, f64)> {
+        let mut cases = tiled_cases();
+        cases.push((vec![0.2, 0.8], hamming(2), 5.0));
+        let ring: Vec<Vec<f64>> = (0..6)
+            .map(|x: usize| {
+                (0..6)
+                    .map(|y: usize| x.abs_diff(y).min(6 - x.abs_diff(y)) as f64)
+                    .collect()
+            })
+            .collect();
+        cases.push((vec![0.1, 0.3, 0.0, 0.25, 0.15, 0.2], ring, 1.3));
+        cases
+    }
+
+    #[test]
+    fn scratch_reuse_output_is_bit_identical_to_naive_reference() {
+        // Every entry point must reproduce the serial, allocate-per-
+        // iteration replica bit for bit: the default solver, the first
+        // retry attempt, and the tiled solver.
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base_iters: 50_000,
+            growth: 2.0,
+            damping: 0.5,
+        };
+        for (source, distortion, beta) in bit_identity_cases() {
+            let (tol, max_iters) = (1e-13, 50_000);
+            let (want_kernel, want_iters) =
+                serial_reference(&source, &distortion, beta, tol, max_iters);
+            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+            assert_eq!(rd.iterations, want_iters);
+            assert_kernel_bits(&rd, &want_kernel, &format!("default at β={beta}"));
+            let (retry, rep) =
+                blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
+            assert_eq!(rep.attempts, 1);
+            assert_eq!(retry.iterations, want_iters);
+            assert_kernel_bits(&retry, &want_kernel, &format!("retry at β={beta}"));
         }
     }
 
     #[test]
     fn retry_scratch_reuse_matches_fresh_allocation_per_attempt() {
-        // Restart attempts share one scratch; a stale kernel from a
+        // Restart attempts share one scratch; a stale buffer from a
         // failed attempt must not leak into the next attempt's output.
         let source = [0.2, 0.8];
         let distortion = hamming(2);
@@ -1035,25 +1126,27 @@ mod tests {
         // attempt (fresh scratch each time) and compare bits.
         let ny = 2;
         let uniform = 1.0 / ny as f64;
+        let opts = BaTileOptions::default();
         let mut r = vec![uniform; ny];
         for attempt in 0.. {
             let budget = policy.budget_for(attempt);
-            let mut scratch = BaScratch::new(&distortion, beta, ny);
-            let state = ba_iterate(
+            let mut scratch = BaScratch::new(&distortion, beta, ny, &opts);
+            let state = ba_loop(
                 &source,
+                &distortion,
+                beta,
                 tol,
                 budget,
                 r,
                 &mut scratch,
+                &opts,
                 &NoopRecorder,
-                log_sum_exp,
+                &mut BaTileStats::default(),
             );
             if state.converged {
-                for (row, want_row) in rd.channel.kernel().iter().zip(scratch.kernel.chunks(ny)) {
-                    for (&q, &wq) in row.iter().zip(want_row) {
-                        assert_eq!(q.to_bits(), wq.to_bits());
-                    }
-                }
+                let fresh =
+                    ba_finalize(&source, &distortion, beta, &mut scratch, state.gap, 0).unwrap();
+                assert_kernel_bits(&rd, fresh.channel.kernel(), "fresh scratch per attempt");
                 assert_eq!(rep.attempts, attempt + 1);
                 break;
             }
@@ -1091,34 +1184,6 @@ mod tests {
         let four = run();
         dplearn_parallel::set_thread_count(0);
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn fast_path_reaches_the_same_fixed_point() {
-        // The reordered-sum fast path is not bit-identical to the
-        // default, but it must land on the same rate–distortion point
-        // and satisfy the Gibbs fixed-point identity just as tightly.
-        let source = [0.3, 0.45, 0.25];
-        let distortion = vec![
-            vec![0.0, 0.6, 1.0],
-            vec![0.5, 0.0, 0.4],
-            vec![1.0, 0.7, 0.0],
-        ];
-        let beta = 3.0;
-        let slow = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-        let fast = blahut_arimoto_fast(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-        close(fast.rate, slow.rate, 1e-9);
-        close(fast.distortion, slow.distortion, 1e-9);
-        let gap = gibbs_fixed_point_gap(&fast, &distortion, beta);
-        assert!(gap < 1e-9, "fast-path Gibbs fixed-point gap {gap}");
-        // And the fast path is still thread-count invariant.
-        let bits = |threads| {
-            dplearn_parallel::set_thread_count(threads);
-            let rd = blahut_arimoto_fast(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-            dplearn_parallel::set_thread_count(0);
-            rd.rate.to_bits()
-        };
-        assert_eq!(bits(1), bits(4));
     }
 
     #[test]
@@ -1320,40 +1385,49 @@ mod tests {
 
     #[test]
     fn tiled_is_bit_identical_across_tile_sizes() {
-        for (source, distortion, beta) in tiled_cases() {
+        for (source, distortion, beta) in bit_identity_cases() {
+            let (want_kernel, want_iters) =
+                serial_reference(&source, &distortion, beta, 1e-13, 50_000);
             let want = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
             // `1 << 63` rows of 2 or 4 cells wrap an unclamped chunk size
             // to 0; `usize::MAX` overflows any product.
-            for tile in [1usize, 7, 64, 4096, 1 << 63, usize::MAX] {
-                let opts = BaTileOptions {
-                    row_tile: tile,
-                    col_tile: tile,
-                    ..BaTileOptions::default()
-                };
-                let got =
-                    blahut_arimoto_tiled(&source, &distortion, beta, 1e-13, 50_000, &opts).unwrap();
-                assert_eq!(got.rate.to_bits(), want.rate.to_bits(), "tile={tile}");
-                for (row, want_row) in got.channel.kernel().iter().zip(want.channel.kernel()) {
-                    for (&q, &wq) in row.iter().zip(want_row) {
-                        assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted at tile={tile}");
-                    }
+            for threads in [1usize, 2, 8] {
+                dplearn_parallel::set_thread_count(threads);
+                for tile in [1usize, 7, 64, 4096, 1 << 63, usize::MAX] {
+                    let opts = BaTileOptions {
+                        row_tile: tile,
+                        col_tile: tile,
+                        ..BaTileOptions::default()
+                    };
+                    let got =
+                        blahut_arimoto_tiled(&source, &distortion, beta, 1e-13, 50_000, &opts)
+                            .unwrap();
+                    assert_eq!(got.iterations, want_iters, "tile={tile}");
+                    assert_eq!(got.rate.to_bits(), want.rate.to_bits(), "tile={tile}");
+                    assert_eq!(
+                        got.rate_lower_bound.to_bits(),
+                        want.rate_lower_bound.to_bits(),
+                        "tile={tile}"
+                    );
+                    assert_kernel_bits(&got, &want_kernel, &format!("tile={tile} t={threads}"));
                 }
             }
+            dplearn_parallel::set_thread_count(0);
         }
     }
 
     #[test]
     fn frozen_early_exit_matches_naive_fixed_iteration_runs() {
         // tol = 0 forces the fixed-iteration pattern the benches use:
-        // the naive loop recomputes the (bitwise stationary) fixed point
-        // every iteration, the tiled loop freezes — same kernel bits,
-        // same iteration count.
+        // the serial replica recomputes the (bitwise stationary) fixed
+        // point every iteration, the tiled loop freezes — same kernel
+        // bits, same iteration count.
         let source = vec![0.2, 0.8];
         let distortion = hamming(2);
-        let beta = 5.0;
+        let beta = 2.0;
         let max_iters = 2_000;
-        let (want_kernel, _, want_iters) =
-            naive_ba_reference(&source, &distortion, beta, 0.0, max_iters);
+        let (want_kernel, want_iters) =
+            serial_reference(&source, &distortion, beta, 0.0, max_iters);
         assert_eq!(want_iters, max_iters);
         use dplearn_telemetry::MemoryRecorder;
         let recorder = MemoryRecorder::new();
@@ -1397,7 +1471,7 @@ mod tests {
             .unwrap();
         assert_eq!(gap.total + gap.non_finite, max_iters as u64);
         // A converged run at the same β pins the frozen kernel against
-        // the naive fixed-iteration kernel: rerun without the error.
+        // the replica's fixed-iteration kernel: rerun without the error.
         let frozen_rd = blahut_arimoto_tiled(
             &source,
             &distortion,
@@ -1407,14 +1481,10 @@ mod tests {
             &BaTileOptions::default(),
         );
         // 1e-30 > 0, so the first exactly-zero gap converges the run —
-        // while the naive reference at tol=0 runs all 2000 iterations to
-        // land on the same bits.
+        // while the replica at tol=0 runs all 2000 iterations to land on
+        // the same bits.
         let frozen_rd = frozen_rd.expect("an exactly-stationary marginal satisfies any tol > 0");
-        for (row, want_row) in frozen_rd.channel.kernel().iter().zip(&want_kernel) {
-            for (&q, &wq) in row.iter().zip(want_row) {
-                assert_eq!(q.to_bits(), wq.to_bits());
-            }
-        }
+        assert_kernel_bits(&frozen_rd, &want_kernel, "frozen vs fixed-iteration");
     }
 
     #[test]
@@ -1454,6 +1524,196 @@ mod tests {
         assert_eq!(one, four);
         // 1-row and 1-column tiles: (nx + ny) tiles per iteration.
         assert_eq!(one.2, (4 + 4) * one.1 as u64);
+    }
+
+    /// The benchmark's rate–distortion problem: source ∝ 1 + (x mod 3),
+    /// distortion |x − y|/n.
+    fn abs_distance_problem(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let raw: Vec<f64> = (0..n).map(|x| 1.0 + (x % 3) as f64).collect();
+        let z: f64 = raw.iter().sum();
+        let source = raw.iter().map(|&w| w / z).collect();
+        let distortion = (0..n)
+            .map(|x| (0..n).map(|y| x.abs_diff(y) as f64 / n as f64).collect())
+            .collect();
+        (source, distortion)
+    }
+
+    /// The log-space oracle's iteration count, rate within 1e-12
+    /// relative, every cell ≥ 1e-290 within 1e-12 relative, and rows
+    /// that sum to 1 within 1e-12.
+    fn assert_matches_oracle(
+        rd: &RateDistortion,
+        source: &[f64],
+        distortion: &[Vec<f64>],
+        beta: f64,
+        tol: f64,
+        max_iters: usize,
+    ) {
+        let (want_kernel, _, want_iters) =
+            naive_ba_reference(source, distortion, beta, tol, max_iters);
+        assert_eq!(rd.iterations, want_iters, "iterations at β={beta}");
+        let want = DiscreteChannel::new(source.to_vec(), want_kernel).unwrap();
+        let want_rate = want.mutual_information();
+        assert!(
+            rel_err(rd.rate, want_rate) <= 1e-12,
+            "rate {} vs oracle {want_rate} at β={beta}",
+            rd.rate
+        );
+        for (row, want_row) in rd.channel.kernel().iter().zip(want.kernel()) {
+            close(kahan_sum(row.iter().copied()), 1.0, 1e-12);
+            for (&q, &wq) in row.iter().zip(want_row) {
+                assert!(!q.is_nan());
+                if q >= 1e-290 || wq >= 1e-290 {
+                    assert!(
+                        rel_err(q, wq) <= 1e-12,
+                        "cell {q} vs oracle {wq} at β={beta}"
+                    );
+                }
+            }
+        }
+        assert!(
+            rd.rate_lower_bound <= rd.rate,
+            "bracket inverted at β={beta}"
+        );
+    }
+
+    #[test]
+    fn multiplicative_kernel_agrees_with_the_log_space_oracle() {
+        for (source, distortion, beta) in tiled_cases() {
+            let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+            assert_matches_oracle(&rd, &source, &distortion, beta, 1e-13, 50_000);
+        }
+        // The benchmark's 384-symbol problem at its tolerance, from the
+        // smooth regime into the one where most cells underflow.
+        let (source, distortion) = abs_distance_problem(384);
+        for (beta, iterations) in [(16.0, 241), (200.0, 103), (2000.0, 3), (20000.0, 2)] {
+            let rd = blahut_arimoto(&source, &distortion, beta, 1e-5, 2_000).unwrap();
+            assert_eq!(rd.iterations, iterations, "β={beta}");
+            assert_matches_oracle(&rd, &source, &distortion, beta, 1e-5, 2_000);
+        }
+    }
+
+    #[test]
+    fn subnormal_marginal_keeps_the_rate_finite() {
+        // Most of this marginal ends subnormal. Without the flush the
+        // cells of those columns underflow out of the channel's output
+        // marginal and the rate is +∞. The log-space oracle needs 134,197
+        // iterations and returned this rate.
+        let (source, distortion) = abs_distance_problem(16);
+        let (beta, tol, max_iters) = (2.0, 1e-12, 200_000);
+        let oracle_rate = 4.391_796_809_952_611e-3;
+        let opts = BaTileOptions::default();
+        let mut scratch = BaScratch::new(&distortion, beta, 16, &opts);
+        let state = ba_loop(
+            &source,
+            &distortion,
+            beta,
+            tol,
+            max_iters,
+            vec![1.0 / 16.0; 16],
+            &mut scratch,
+            &opts,
+            &NoopRecorder,
+            &mut BaTileStats::default(),
+        );
+        assert!(state.converged);
+        let subnormal = scratch
+            .prev_r
+            .iter()
+            .filter(|&&ry| ry > 0.0 && ry < f64::MIN_POSITIVE)
+            .count();
+        assert!(
+            subnormal > 0,
+            "premise: some marginal entries are subnormal"
+        );
+        let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+        assert!(rd.rate.is_finite());
+        assert!(
+            rel_err(rd.rate, oracle_rate) <= 1e-12,
+            "rate {} vs oracle {oracle_rate}",
+            rd.rate
+        );
+        assert!(rd.rate_lower_bound > 0.0 && rd.rate_lower_bound <= rd.rate);
+    }
+
+    #[test]
+    fn rows_with_a_vanishing_row_sum_take_the_log_space_update() {
+        // Input 2 carries mass 1e-300, and its nearest output is used by
+        // no other input, so r(2) collapses while A(2, 2) = 1 and the rest
+        // of row 2 of A is far below 1e-16: s₂ < 1e-16. At β = 1000 the
+        // rest of that row underflows to 0, yet q(1|2) ≈ e⁻³¹⁰ — a cell
+        // only the log-space update gets right.
+        let source = vec![0.5, 0.5, 1e-300];
+        let distortion: Vec<Vec<f64>> = (0..3)
+            .map(|x: usize| (0..3).map(|y: usize| x.abs_diff(y) as f64).collect())
+            .collect();
+        let (tol, max_iters) = (1e-13, 10_000);
+        for beta in [50.0, 1000.0] {
+            let opts = BaTileOptions::default();
+            let mut scratch = BaScratch::new(&distortion, beta, 3, &opts);
+            let state = ba_loop(
+                &source,
+                &distortion,
+                beta,
+                tol,
+                max_iters,
+                vec![1.0 / 3.0; 3],
+                &mut scratch,
+                &opts,
+                &NoopRecorder,
+                &mut BaTileStats::default(),
+            );
+            assert!(state.converged);
+            assert_eq!(
+                scratch.fallback,
+                vec![2],
+                "premise: row 2 takes the fallback"
+            );
+            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+            assert!(!rd.rate.is_nan() && !rd.distortion.is_nan());
+            assert!(!rd.rate_lower_bound.is_nan());
+            assert_matches_oracle(&rd, &source, &distortion, beta, tol, max_iters);
+            let (want_kernel, _) = serial_reference(&source, &distortion, beta, tol, max_iters);
+            assert_kernel_bits(&rd, &want_kernel, &format!("fallback row at β={beta}"));
+        }
+    }
+
+    #[test]
+    fn rate_lower_bound_brackets_the_rate() {
+        for (source, distortion, beta) in bit_identity_cases() {
+            let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+            assert!(rd.rate_lower_bound >= 0.0);
+            assert!(rd.rate_lower_bound <= rd.rate, "β={beta}");
+        }
+        // Uniform binary source, Hamming distortion: R(D) = ln 2 − H(D)
+        // at the returned D. At this source the bracket is exact in real
+        // arithmetic, so it may be a few ulps narrower than the rounding
+        // of the closed form.
+        for beta in [0.5f64, 2.0, 5.0] {
+            let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
+            let closed =
+                std::f64::consts::LN_2 - dplearn_numerics::special::binary_entropy(rd.distortion);
+            let slack = 8.0 * f64::EPSILON;
+            assert!(
+                rd.rate_lower_bound <= closed + slack && closed <= rd.rate + slack,
+                "R(D) = {closed} outside [{}, {}] at β={beta}",
+                rd.rate_lower_bound,
+                rd.rate
+            );
+        }
+        // The bracket narrows as the tolerance tightens.
+        let (source, distortion) = abs_distance_problem(24);
+        let widths: Vec<f64> = [1e-3, 1e-6, 1e-9]
+            .iter()
+            .map(|&tol| {
+                let rd = blahut_arimoto(&source, &distortion, 4.0, tol, 200_000).unwrap();
+                rd.rate - rd.rate_lower_bound
+            })
+            .collect();
+        assert!(
+            widths[0] > widths[1] && widths[1] > widths[2] && widths[2] >= 0.0,
+            "{widths:?}"
+        );
     }
 
     #[test]

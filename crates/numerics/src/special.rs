@@ -124,9 +124,9 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 ///
 /// Per the workspace's pinning contract, this reordered-sum fast path is
 /// **opt-in**: default call sites keep [`log_sum_exp`] for bit-identical
-/// results, and consumers that switch (e.g. `blahut_arimoto_fast`, the
-/// MH fast log-prior) are pinned by `audit_discrete_par`
-/// distribution-equivalence instead of bit-identity.
+/// results, and consumers that switch (e.g. the MH fast log-prior) are
+/// pinned by `audit_discrete_par` distribution-equivalence instead of
+/// bit-identity.
 pub fn log_sum_exp_fast(xs: &[f64]) -> f64 {
     const LANES: usize = 4;
     let mut lane_max = [f64::NEG_INFINITY; LANES];

@@ -3,14 +3,14 @@
 //! The workspace pinning contract has two tiers:
 //!
 //! 1. **Bit identity** — default code paths (`log_sum_exp`,
-//!    `DiagGaussian::ln_pdf`, `blahut_arimoto`) replay the exact serial
-//!    arithmetic order and are pinned bit-for-bit by the determinism
-//!    suite at every `DPLEARN_THREADS` setting.
+//!    `DiagGaussian::ln_pdf`) replay the exact serial arithmetic order
+//!    and are pinned bit-for-bit by the determinism suite at every
+//!    `DPLEARN_THREADS` setting.
 //! 2. **Distribution equivalence** — the opt-in vectorized paths
 //!    (`log_sum_exp_fast`, `DiagGaussian::ln_pdf_fast` via
-//!    `MetropolisGibbs::with_fast_log_prior`, `blahut_arimoto_fast`)
-//!    reorder floating-point sums, so their outputs may differ from the
-//!    defaults in the last ulps. They are pinned here by the
+//!    `MetropolisGibbs::with_fast_log_prior`) reorder floating-point
+//!    sums, so their outputs may differ from the defaults in the last
+//!    ulps. They are pinned here by the
 //!    `audit_discrete_par` empirical-ε harness: treating the default and
 //!    fast paths as the two "neighboring" mechanisms, the estimated
 //!    maximum log probability ratio between their output distributions
@@ -19,81 +19,10 @@
 //! `audit_discrete_par` itself is bit-identical at every thread count,
 //! so these audits are stable regardless of `DPLEARN_THREADS`.
 
-use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_fast};
 use dplearn_mechanisms::audit::{audit_discrete_par, AuditConfig};
-use dplearn_numerics::rng::{Rng, Xoshiro256};
+use dplearn_numerics::rng::Xoshiro256;
 use dplearn_pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn_pacbayes::posterior::DiagGaussian;
-
-/// Inverse-CDF draw from a discrete distribution (one uniform per draw).
-fn draw_from(dist: &[f64], rng: &mut Xoshiro256) -> usize {
-    let u = rng.next_open_f64();
-    let mut acc = 0.0;
-    for (i, &p) in dist.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            return i;
-        }
-    }
-    dist.len() - 1
-}
-
-/// A deterministic, non-uniform source over `n` symbols.
-fn skewed_source(n: usize) -> Vec<f64> {
-    let raw: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 37) % 11) as f64).collect();
-    let total: f64 = raw.iter().sum();
-    raw.into_iter().map(|w| w / total).collect()
-}
-
-/// A structured (non-Hamming) distortion so rows have distinct scales.
-fn ring_distortion(n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|x| {
-            (0..n)
-                .map(|y| {
-                    let d = (x as i64 - y as i64).unsigned_abs() as usize;
-                    let wrap = d.min(n - d);
-                    wrap as f64 * (1.0 + 0.01 * (x % 3) as f64)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// `blahut_arimoto_fast` (4-lane `log_sum_exp_fast` row normalizers)
-/// reaches an output marginal statistically indistinguishable from the
-/// default Kahan path: the empirical max log-ratio between draws from
-/// the two converged marginals stays at sampling-noise level.
-#[test]
-fn ba_fast_path_marginal_is_distribution_equivalent_to_default() {
-    let n = 24;
-    let source = skewed_source(n);
-    let distortion = ring_distortion(n);
-    let default = blahut_arimoto(&source, &distortion, 2.5, 1e-12, 20_000).unwrap();
-    let fast = blahut_arimoto_fast(&source, &distortion, 2.5, 1e-12, 20_000).unwrap();
-    let marginal_default = default.channel.output_marginal();
-    let marginal_fast = fast.channel.output_marginal();
-
-    let cfg = AuditConfig::new(200_000).with_chunk_size(25_000);
-    let res = audit_discrete_par(
-        |rng: &mut Xoshiro256| draw_from(&marginal_default, rng),
-        |rng: &mut Xoshiro256| draw_from(&marginal_fast, rng),
-        n,
-        &cfg,
-        0xBA57_F00D,
-    )
-    .unwrap();
-    assert!(
-        res.empirical_epsilon <= 0.15,
-        "BA fast path drifted from the default fixed point: ε̂ = {}",
-        res.empirical_epsilon
-    );
-    // Belt and braces: the two fixed points also agree analytically far
-    // tighter than the audit can resolve.
-    for (a, b) in marginal_default.iter().zip(&marginal_fast) {
-        assert!((a - b).abs() <= 1e-8, "marginal gap {a} vs {b}");
-    }
-}
 
 /// MH with `with_fast_log_prior(true)` samples the same Gibbs posterior
 /// as the bit-identical default: binned short-chain draws from the two

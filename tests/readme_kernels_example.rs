@@ -1,27 +1,13 @@
 //! Compile-and-run check for the vectorized-kernels example in README.md
 //! ("Fast paths"). If this test breaks, update the README.
 
-use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_fast};
 use dplearn::numerics::special::{log_sum_exp, log_sum_exp_fast};
-use dplearn::DplearnError;
 
 #[test]
-fn readme_kernels_example_runs_as_written() -> Result<(), DplearnError> {
-    let source = vec![0.25; 4];
-    let distortion: Vec<Vec<f64>> = (0..4)
-        .map(|x| (0..4).map(|y| f64::from(u8::from(x != y))).collect())
-        .collect();
-
-    // Default: bit-identical across runs, thread counts, and machines.
-    let exact = blahut_arimoto(&source, &distortion, 2.0, 1e-10, 10_000)?;
-    // Fast: four-lane `log_sum_exp_fast` row normalizers — same fixed
-    // point, last-ulp different iterates, audit-pinned rather than
-    // bit-pinned. Choose it explicitly.
-    let fast = blahut_arimoto_fast(&source, &distortion, 2.0, 1e-10, 10_000)?;
-    assert!((exact.rate - fast.rate).abs() < 1e-6);
-
-    // The underlying reduction is exposed directly, same trade-off.
+fn readme_kernels_example_runs_as_written() {
+    // Default: the serial Kahan sum, bit-identical across runs, thread
+    // counts, and machines. Fast: four uncompensated lanes — last-ulp
+    // different, audit-pinned rather than bit-pinned. Choose it explicitly.
     let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
     assert!((log_sum_exp(&xs) - log_sum_exp_fast(&xs)).abs() < 1e-12);
-    Ok(())
 }

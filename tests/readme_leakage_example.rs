@@ -56,5 +56,7 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
         &BaTileOptions::default(),
     )?;
     assert_eq!(tiled.rate.to_bits(), reference.rate.to_bits());
+    // Every solve also returns Blahut's certified lower bound on R(D).
+    assert!(tiled.rate_lower_bound <= tiled.rate);
     Ok(())
 }

@@ -26,14 +26,23 @@
 //!   order — the same operations as
 //!   [`crate::leakage::posterior_vulnerability`], so it is
 //!   **bit-identical** to it.
-//! * `mutual_information_blocked` computes one plain partial sum per
-//!   *row* (left-to-right over outputs), then folds the per-row values
-//!   in input order with Kahan compensation. That association differs
-//!   from [`DiscreteChannel::mutual_information`]'s single global
-//!   accumulator, so the two agree only to rounding — but the blocked
-//!   fold is a pure function of the matrix, independent of tile size
-//!   and thread count, and is pinned bit-identical to its own serial
-//!   reference ([`FlatChannel::mutual_information_naive`]).
+//! * `mutual_information_blocked` runs one row kernel per *row*, then
+//!   folds the per-row values in input order with Kahan compensation.
+//!   The kernel makes no libm call: each cell is
+//!   `p(y|x)·ln(p(y|x)/p(y))` through the in-crate
+//!   [`ln_positive_normal`], summed in four fixed lanes. Cell `y` goes to
+//!   lane `y mod 4`, the lanes fold as `(l₀+l₁)+(l₂+l₃)`, and the last
+//!   `ny mod 4` cells follow in order, so the row length alone sets the
+//!   association (the baseline x86-64 build runs the loop as packed
+//!   SSE2). A row with a nonzero cell whose quotient is not a positive
+//!   normal number — subnormal, or `+∞` from a `p(y)` that underflowed
+//!   to 0 — is redone with [`xlogx_over_y`] in the same lanes, so zeros
+//!   and `+∞` keep their meaning. The serial replica
+//!   [`FlatChannel::mutual_information_naive`] (no tiling, no dispatch)
+//!   runs the same kernel and is pinned **bit-identical** at every tile
+//!   size and thread count. The tests keep the one-libm-`ln`-per-cell
+//!   fold as an oracle, within 1e-12 relative; so is the boxed
+//!   [`DiscreteChannel::mutual_information`], a different association.
 //! * `max_row_log_ratio_blocked` first drops every column whose ratio
 //!   provably cannot hold the maximum, then runs the pairwise loop of
 //!   [`DiscreteChannel::max_row_log_ratio`] on the rest, so it is
@@ -41,13 +50,18 @@
 
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
-use dplearn_numerics::special::{xlogx_over_y, KahanSum};
+use dplearn_numerics::special::{ln_positive_normal, xlogx_over_y, KahanSum};
 use std::ops::Range;
 
 /// Approximate cost (≈ nanoseconds, [`dplearn_parallel::par_threshold`]
-/// units) of one matrix cell in the mutual-information sweep: a
-/// division, a logarithm, a multiply-add.
-const MI_CELL_COST: u64 = 24;
+/// units) of one matrix cell in the mutual-information row pass: two
+/// divisions, the in-crate logarithm and a multiply-add, two cells per
+/// packed instruction.
+const MI_CELL_COST: u64 = 6;
+
+/// Approximate cost of one cell pair in the realized-ε exact pass: a
+/// division, a libm logarithm and a max.
+const RATIO_CELL_COST: u64 = 24;
 
 /// Approximate cost of one cell in the marginal / vulnerability sweeps:
 /// a multiply and an add or max.
@@ -76,6 +90,61 @@ pub struct FlatChannel {
     input: Vec<f64>,
     kernel: Vec<f64>,
     ny: usize,
+}
+
+/// One MI cell `p(y|x)·ln(p(y|x)/p(y))` through [`ln_positive_normal`],
+/// and whether the cell needs the libm fallback: it is nonzero and its
+/// quotient is not a positive normal number. A zero cell adds `+0.0`,
+/// as in [`xlogx_over_y`].
+fn fast_cell(pyx: f64, py: f64) -> (f64, bool) {
+    let q = pyx / py;
+    let term = pyx * ln_positive_normal(q);
+    let normal = (f64::MIN_POSITIVE..=f64::MAX).contains(&q);
+    if pyx == 0.0 {
+        (0.0, false)
+    } else {
+        (term, !normal)
+    }
+}
+
+/// `Σ_y cell(p(y|x), p(y))` over one row in four fixed lanes: lane `k`
+/// adds the cells at `y ≡ k (mod 4)` in order, the lanes fold as
+/// `(l₀+l₁)+(l₂+l₃)`, and the last `ny mod 4` cells follow in order. The
+/// association depends only on the row length. Also returns whether any
+/// cell asked for the fallback.
+fn lane_sum(row: &[f64], marginal: &[f64], cell: impl Fn(f64, f64) -> (f64, bool)) -> (f64, bool) {
+    let (r4, m4) = (row.chunks_exact(4), marginal.chunks_exact(4));
+    let (r_tail, m_tail) = (r4.remainder(), m4.remainder());
+    let mut lanes = [0.0f64; 4];
+    let mut fallback = false;
+    for (rc, mc) in r4.zip(m4) {
+        for ((l, &pyx), &py) in lanes.iter_mut().zip(rc).zip(mc) {
+            let (term, off) = cell(pyx, py);
+            *l += term;
+            fallback |= off;
+        }
+    }
+    let [l0, l1, l2, l3] = lanes;
+    let mut s = (l0 + l1) + (l2 + l3);
+    for (&pyx, &py) in r_tail.iter().zip(m_tail) {
+        let (term, off) = cell(pyx, py);
+        s += term;
+        fallback |= off;
+    }
+    (s, fallback)
+}
+
+/// The MI row kernel `Σ_y p(y|x)·ln(p(y|x)/p(y))` behind both
+/// [`FlatChannel::mutual_information_blocked`] and
+/// [`FlatChannel::mutual_information_naive`]. A row with a nonzero cell
+/// whose quotient is zero, subnormal or infinite (a `p(y)` that
+/// underflowed to 0) is redone with [`xlogx_over_y`] in the same lanes,
+/// so those cells keep their libm value and `+∞`.
+fn row_information(row: &[f64], marginal: &[f64]) -> f64 {
+    match lane_sum(row, marginal, fast_cell) {
+        (s, false) => s,
+        _ => lane_sum(row, marginal, |pyx, py| (xlogx_over_y(pyx, py), false)).0,
+    }
 }
 
 /// Tile sizes must be positive: a zero tile would make the blocked
@@ -204,15 +273,17 @@ impl FlatChannel {
 
     /// Mutual information `I(X;Y)` in nats, blocked over row tiles.
     ///
-    /// Each row's inner sum runs left-to-right over outputs (plain
-    /// accumulation, one multiply by `p(x)` at the end); the per-row
-    /// values are then folded in input order with Kahan compensation.
-    /// The fold structure never depends on the tile grouping or the
-    /// worker count, so the result is bit-identical across both — pinned
-    /// against [`FlatChannel::mutual_information_naive`] in
-    /// `tests/determinism.rs`. Agreement with
-    /// [`DiscreteChannel::mutual_information`] (a different association)
-    /// is to rounding, checked separately.
+    /// Each row with mass goes through the MI row kernel (four fixed
+    /// lanes, no libm call, libm fallback for rows outside the normal
+    /// range; see the module docs) and is multiplied by `p(x)`; the
+    /// per-row values are then folded in input order with Kahan
+    /// compensation. The fold structure never depends on the tile
+    /// grouping or the worker count, so the result is bit-identical
+    /// across both — pinned against
+    /// [`FlatChannel::mutual_information_naive`] in
+    /// `tests/determinism.rs`. Agreement with the one-libm-`ln`-per-cell
+    /// fold and with [`DiscreteChannel::mutual_information`] (a different
+    /// association) is to 1e-12 relative, checked separately.
     pub fn mutual_information_blocked(&self, tile: usize) -> Result<f64> {
         let tile = validate_tile(tile)?;
         let marginal = self.output_marginal_blocked(tile)?;
@@ -232,12 +303,7 @@ impl FlatChannel {
                             *slot = 0.0;
                             continue;
                         }
-                        let row = &kernel[x * ny..(x + 1) * ny];
-                        let mut s = 0.0;
-                        for (&pyx, &py) in row.iter().zip(marginal) {
-                            s += xlogx_over_y(pyx, py);
-                        }
-                        *slot = px * s;
+                        *slot = px * row_information(&kernel[x * ny..(x + 1) * ny], marginal);
                     }
                 },
             );
@@ -251,11 +317,10 @@ impl FlatChannel {
         Ok(acc.value().max(0.0))
     }
 
-    /// The serial reference for [`mutual_information_blocked`]: the
-    /// identical fold structure (plain per-row sums, Kahan fold over
-    /// rows) with no tiling and no parallel dispatch. The blocked sweep
-    /// is pinned bit-identical to this at every tile size and thread
-    /// count.
+    /// The serial replica of [`mutual_information_blocked`]: the same
+    /// row kernel and the same Kahan fold over rows, with no tiling and
+    /// no parallel dispatch. The blocked sweep is pinned bit-identical to
+    /// this at every tile size and thread count.
     ///
     /// [`mutual_information_blocked`]: FlatChannel::mutual_information_blocked
     pub fn mutual_information_naive(&self) -> f64 {
@@ -275,11 +340,7 @@ impl FlatChannel {
                 continue;
             }
             let row = &self.kernel[x * self.ny..(x + 1) * self.ny];
-            let mut s = 0.0;
-            for (&pyx, &py) in row.iter().zip(&marginal) {
-                s += xlogx_over_y(pyx, py);
-            }
-            acc.add(px * s);
+            acc.add(px * row_information(row, &marginal));
         }
         acc.value().max(0.0)
     }
@@ -395,7 +456,7 @@ impl FlatChannel {
         let cells: u64 = runs.iter().map(|run| run.len() as u64).sum();
         let worst = dplearn_parallel::par_map_reduce_with_cost(
             nx.div_ceil(tile),
-            MI_CELL_COST
+            RATIO_CELL_COST
                 .saturating_mul(tile as u64)
                 .saturating_mul(nx as u64)
                 .saturating_mul(cells),
@@ -602,18 +663,153 @@ mod tests {
     #[test]
     fn blocked_mi_is_tile_invariant_and_matches_its_naive_reference() {
         let c = test_channel(13, 17, 9);
-        let f = FlatChannel::from_channel(&c);
-        let want = f.mutual_information_naive();
-        for tile in HUGE_AND_SMALL_TILES {
-            let got = f.mutual_information_blocked(tile).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "MI drifted at tile={tile}");
-        }
+        let want = assert_mi_pinned(&FlatChannel::from_channel(&c));
         // Against the boxed-row association: rounding-level agreement.
         let boxed = c.mutual_information();
         assert!(
             (want - boxed).abs() <= 1e-12 * boxed.abs().max(1.0),
             "blocked {want} vs boxed {boxed}"
         );
+    }
+
+    /// The output marginal in source order, as every MI path builds it.
+    fn serial_marginal(f: &FlatChannel) -> Vec<f64> {
+        let mut marginal = vec![0.0; f.ny];
+        for (&px, row) in f.input.iter().zip(f.kernel.chunks(f.ny)) {
+            if px != 0.0 {
+                for (o, &q) in marginal.iter_mut().zip(row) {
+                    *o += px * q;
+                }
+            }
+        }
+        marginal
+    }
+
+    /// Rows with mass, weighted `p(x)·row_sum(row)`, Kahan-folded in
+    /// input order and clamped at 0.
+    fn fold_rows(f: &FlatChannel, row_sum: impl Fn(&[f64], &[f64]) -> f64) -> f64 {
+        let marginal = serial_marginal(f);
+        let mut acc = KahanSum::new();
+        for (&px, row) in f.input.iter().zip(f.kernel.chunks(f.ny)) {
+            if px != 0.0 {
+                acc.add(px * row_sum(row, &marginal));
+            }
+        }
+        acc.value().max(0.0)
+    }
+
+    /// The libm oracle: one `xlogx_over_y` per cell, each row summed
+    /// left to right.
+    fn libm_oracle(f: &FlatChannel) -> f64 {
+        fold_rows(f, |row, marginal| {
+            row.iter()
+                .zip(marginal)
+                .fold(0.0, |s, (&pyx, &py)| s + xlogx_over_y(pyx, py))
+        })
+    }
+
+    /// The documented row association, written by index: every cell
+    /// through `ln_positive_normal` unless some nonzero cell of the row
+    /// has a quotient outside the positive normals, in which case every
+    /// cell through `xlogx_over_y`; cell `y` into lane `y mod 4`, the
+    /// lanes folded `(l₀+l₁)+(l₂+l₃)`, the tail added in order.
+    fn lane_replica_row(row: &[f64], marginal: &[f64]) -> f64 {
+        let ny = row.len();
+        let fallback = (0..ny).any(|y| {
+            let q = row[y] / marginal[y];
+            row[y] != 0.0 && !(q.is_normal() && q > 0.0)
+        });
+        let term = |y: usize| {
+            if fallback {
+                xlogx_over_y(row[y], marginal[y])
+            } else if row[y] == 0.0 {
+                0.0
+            } else {
+                row[y] * ln_positive_normal(row[y] / marginal[y])
+            }
+        };
+        let body = ny - ny % 4;
+        let mut lanes = [0.0f64; 4];
+        for y in 0..body {
+            lanes[y % 4] += term(y);
+        }
+        let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for y in body..ny {
+            s += term(y);
+        }
+        s
+    }
+
+    /// Blocked MI at every tile, the serial replica and the lane replica
+    /// agree to the bit; all are within 1e-12 relative of the oracle.
+    fn assert_mi_pinned(f: &FlatChannel) -> f64 {
+        let marginal = serial_marginal(f);
+        for (x, row) in f.kernel.chunks(f.ny).enumerate() {
+            let (got, want) = (
+                row_information(row, &marginal),
+                lane_replica_row(row, &marginal),
+            );
+            assert_eq!(got.to_bits(), want.to_bits(), "lane association, row {x}");
+        }
+        let naive = f.mutual_information_naive();
+        assert_eq!(naive.to_bits(), fold_rows(f, lane_replica_row).to_bits());
+        for tile in HUGE_AND_SMALL_TILES {
+            let got = f.mutual_information_blocked(tile).unwrap();
+            assert_eq!(got.to_bits(), naive.to_bits(), "MI drifted at tile={tile}");
+        }
+        let oracle = libm_oracle(f);
+        assert!(
+            naive == oracle || (naive - oracle).abs() <= 1e-12 * oracle.abs(),
+            "kernel {naive:e} vs libm oracle {oracle:e}"
+        );
+        naive
+    }
+
+    #[test]
+    fn blocked_mi_matches_the_libm_oracle_across_lane_tails() {
+        // Each test channel has ~10% zero cells and one zero-mass input.
+        for (i, ny) in [1usize, 2, 3, 5, 17, 4099].into_iter().enumerate() {
+            let f = FlatChannel::from_channel(&test_channel(64, ny, 40 + i as u64));
+            let mi = assert_mi_pinned(&f);
+            assert!(mi.is_finite() && mi >= 0.0, "ny={ny}: {mi}");
+        }
+    }
+
+    #[test]
+    fn subnormal_quotient_rows_take_the_libm_fallback() {
+        // p(y=3|x=0) = 1e-310 against p(y=3) = 0.15: a subnormal quotient
+        // in lane 3; row 1 puts one in the tail (y = 4). Row 2 is clean.
+        let tiny = 1e-310;
+        let kernel = vec![
+            0.3, 0.3, 0.4, tiny, 0.0, //
+            0.3, 0.3, 0.2, 0.2, tiny, //
+            0.2, 0.2, 0.2, 0.2, 0.2,
+        ];
+        let f = FlatChannel::new(vec![0.25, 0.25, 0.5], kernel, 5).unwrap();
+        let marginal = serial_marginal(&f);
+        for (x, fallback) in [(0, true), (1, true), (2, false)] {
+            let row = f.row(x).unwrap();
+            assert_eq!(lane_sum(row, &marginal, fast_cell).1, fallback, "row {x}");
+            if fallback {
+                let libm = lane_sum(row, &marginal, |a, b| (xlogx_over_y(a, b), false)).0;
+                let got = row_information(row, &marginal);
+                assert_eq!(got.to_bits(), libm.to_bits(), "row {x}");
+            }
+        }
+        assert!(assert_mi_pinned(&f) > 0.0);
+    }
+
+    #[test]
+    fn an_underflowed_marginal_keeps_mi_infinite() {
+        // p(y=1) = 1e-200·1e-200 underflows to 0 while p(y=1|x=1) > 0:
+        // the quotient is +∞ and the MI stays +∞, as with libm.
+        let f = FlatChannel::new(vec![1.0, 1e-200], vec![1.0, 0.0, 1.0, 1e-200], 2).unwrap();
+        assert_eq!(serial_marginal(&f)[1], 0.0);
+        assert_eq!(f.mutual_information_naive(), f64::INFINITY);
+        for tile in HUGE_AND_SMALL_TILES {
+            assert_eq!(f.mutual_information_blocked(tile).unwrap(), f64::INFINITY);
+        }
+        assert_eq!(libm_oracle(&f), f64::INFINITY);
     }
 
     #[test]

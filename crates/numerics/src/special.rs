@@ -2,7 +2,8 @@
 //!
 //! Everything the PAC-Bayes and information-theory layers need lives here:
 //! log-domain reductions (`log_sum_exp`), the log-gamma function, the error
-//! function, safe entropy terms (`xlogy`), and the Bernoulli KL divergence
+//! function, safe entropy terms (`xlogy`), a branch-free logarithm for
+//! vectorized loops (`ln_positive_normal`), and the Bernoulli KL divergence
 //! together with its upper inverse (used by Seeger/Maurer-style bounds).
 
 /// Natural logarithm of 2, `ln 2`.
@@ -203,6 +204,55 @@ pub fn xlogx_over_y(x: f64, y: f64) -> f64 {
     } else {
         x * (x / y).ln()
     }
+}
+
+/// Natural logarithm of a **positive normal** `x` (`f64::MIN_POSITIVE ≤
+/// x ≤ f64::MAX`), with no branch and no table, so a loop over it
+/// vectorizes. fdlibm bounds its error below 1 ulp; the tests hold it
+/// within 1 ulp of `f64::ln`.
+///
+/// fdlibm's `__ieee754_log` (Sun Microsystems, 1993), in the branch-free
+/// form FreeBSD and musl use: `x = 2ᵏ·(1+f)` with `1+f` in `[√½, √2)`,
+/// `s = f/(2+f)`, and `ln(1+f) = f − hfsq + s·(hfsq + R)` with
+/// `hfsq = f²/2` and fdlibm's `R = Lg1·s² + Lg2·s⁴ + … + Lg7·s¹⁴`.
+/// `ln(1.0)` is exactly `+0.0`.
+///
+/// Zero, subnormal, negative, infinite and NaN arguments return a
+/// finite value that means nothing. The caller tests the argument and
+/// sends those cases elsewhere: the MI row kernel in
+/// `dplearn_infotheory::flat` redoes such a row with [`xlogx_over_y`].
+#[inline]
+pub fn ln_positive_normal(x: f64) -> f64 {
+    // ln 2 split so that k·LN2_HI is exact for |k| < 2¹¹.
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    const LG1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
+    const LG2: f64 = f64::from_bits(0x3fd9_9999_9997_fa04);
+    const LG3: f64 = f64::from_bits(0x3fd2_4924_9422_9359);
+    const LG4: f64 = f64::from_bits(0x3fcc_71c5_1d8e_78af);
+    const LG5: f64 = f64::from_bits(0x3fc7_4664_96cb_03de);
+    const LG6: f64 = f64::from_bits(0x3fc3_9a09_d078_c69f);
+    const LG7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
+    // High word of √½. Adding ONE_HI − SQRT_HALF_HI carries into the
+    // exponent exactly when the mantissa is at least √2's, so k counts
+    // binades [√½, √2)·2ᵏ; adding SQRT_HALF_HI back to the mantissa bits
+    // gives 1+f in [√½, √2).
+    const SQRT_HALF_HI: u64 = 0x3fe6_a09e_0000_0000;
+    const ONE_HI: u64 = 0x3ff0_0000_0000_0000;
+    // 2⁵², for reading the biased exponent out of the low mantissa bits.
+    const TWO_52: u64 = 0x4330_0000_0000_0000;
+
+    let ix = x.to_bits().wrapping_add(ONE_HI - SQRT_HALF_HI);
+    let k = f64::from_bits(TWO_52 | (ix >> 52)) - (f64::from_bits(TWO_52) + 1023.0);
+    let f = f64::from_bits((ix & 0x000f_ffff_ffff_ffff) + SQRT_HALF_HI) - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
 }
 
 /// Log-gamma via the Lanczos approximation (g = 7, n = 9 coefficients).
@@ -749,6 +799,83 @@ mod tests {
         assert!(kahan_sum([1.0, f64::NAN]).is_nan());
         assert_eq!(kahan_sum([1.0, f64::INFINITY]), f64::INFINITY);
         assert_eq!(kahan_sum(std::iter::empty()), 0.0);
+    }
+
+    /// Distance in ulps between two finite doubles, through the map that
+    /// orders doubles as integers (both zeros map to 0).
+    fn ulps(a: f64, b: f64) -> u64 {
+        let ordered = |v: f64| {
+            let b = v.to_bits() as i64;
+            if b < 0 {
+                i64::MIN - b
+            } else {
+                b
+            }
+        };
+        ordered(a).abs_diff(ordered(b))
+    }
+
+    fn assert_ln_within_one_ulp(x: f64) {
+        let (got, want) = (ln_positive_normal(x), x.ln());
+        assert!(
+            ulps(got, want) <= 1,
+            "ln({x:e}) = {got:e}, libm {want:e}: {} ulps",
+            ulps(got, want)
+        );
+    }
+
+    #[test]
+    fn ln_positive_normal_is_within_one_ulp_in_every_binade() {
+        use crate::rng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(20_120_330);
+        // 2046 binades × 512 random mantissas: every biased exponent
+        // from 1 (f64::MIN_POSITIVE) to 2046 (f64::MAX).
+        for exp in 1u64..=2046 {
+            for _ in 0..512 {
+                let mantissa = rng.next_u64() >> 12;
+                assert_ln_within_one_ulp(f64::from_bits(exp << 52 | mantissa));
+            }
+        }
+        // Dense sweep of the neighbourhood of 1, where the result is
+        // small and only `f` and `s` carry it: every double within 2¹⁶
+        // ulps on either side, then 2¹⁶ steps out to 1 ± 2⁻⁴.
+        let mut up = 1.0f64;
+        let mut down = 1.0f64;
+        for _ in 0..(1 << 16) {
+            up = f64::from_bits(up.to_bits() + 1);
+            down = f64::from_bits(down.to_bits() - 1);
+            assert_ln_within_one_ulp(up);
+            assert_ln_within_one_ulp(down);
+        }
+        for i in 1..=(1 << 16) {
+            let d = f64::from(i) * 2f64.powi(-20);
+            assert_ln_within_one_ulp(1.0 + d);
+            assert_ln_within_one_ulp(1.0 - d / 2.0);
+        }
+        // The edges of the domain and of the reduction interval.
+        let sqrt_half = std::f64::consts::FRAC_1_SQRT_2;
+        for x in [
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            sqrt_half,
+            f64::from_bits(sqrt_half.to_bits() - 1),
+            std::f64::consts::SQRT_2,
+            f64::from_bits(std::f64::consts::SQRT_2.to_bits() - 1),
+            0.5,
+            2.0,
+            std::f64::consts::E,
+        ] {
+            assert_ln_within_one_ulp(x);
+        }
+    }
+
+    #[test]
+    fn ln_positive_normal_of_one_is_exactly_zero() {
+        assert_eq!(ln_positive_normal(1.0).to_bits(), 0.0f64.to_bits());
+        // Powers of two reduce to exactly 1 and leave only k·ln 2.
+        for k in -1022..=1023 {
+            assert_ln_within_one_ulp(2f64.powi(k));
+        }
     }
 
     #[test]

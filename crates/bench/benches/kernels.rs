@@ -8,16 +8,21 @@
 //!   replica of the pre-pool dispatcher (one `thread::scope` + helper
 //!   spawns per section). This is the overhead every Blahut–Arimoto
 //!   iteration pays twice (row pass + column pass).
-//! * `log_sum_exp` — the serial Kahan `log_sum_exp` vs the four-lane
-//!   `log_sum_exp_fast` across vector lengths.
+//! * `softmax` — `softmax_in_place` (one `exp` per cell, four lanes) vs
+//!   the two-`exp` fold it replaced (`log_sum_exp`'s Kahan normalizer,
+//!   then `exp(x − z)` per cell) across vector lengths. The CI smoke job
+//!   asserts the kernel is at least 1.4× faster at 1024 cells on 1
+//!   worker: it does half the `exp` calls, so the gain needs no second
+//!   core.
 //! * `blahut_arimoto` — fixed-iteration BA solves (`tol = 0` runs
 //!   exactly `iters` iterations, so the work is identical at every
 //!   thread count) on alphabets up to 4096 symbols.
 //! * `leakage` — mutual information and min-entropy leakage of a dense
 //!   structured channel at large alphabet sizes.
 //!
-//! Alphabet lists are env-configurable (`DPLEARN_BENCH_KERNELS_BA`,
-//! `DPLEARN_BENCH_KERNELS_MI`, comma-separated; sizes up to 4096 are
+//! Size lists are env-configurable (`DPLEARN_BENCH_KERNELS_BA`,
+//! `DPLEARN_BENCH_KERNELS_MI`, `DPLEARN_BENCH_KERNELS_SOFTMAX`,
+//! comma-separated; alphabet sizes up to 4096 are
 //! supported — the defaults stop earlier to keep smoke runs short).
 //! Results land in `BENCH_kernels.json` (override via
 //! `DPLEARN_BENCH_KERNELS_JSON`). The artifact records
@@ -33,7 +38,7 @@ use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, RateDistortion};
 use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::leakage::min_entropy_leakage_bits;
 use dplearn::infotheory::InfoError;
-use dplearn::numerics::special::{log_sum_exp, log_sum_exp_fast};
+use dplearn::numerics::special::{log_sum_exp, softmax_in_place};
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -102,35 +107,57 @@ fn bench_dispatch(reps: usize) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------
-// Section 2: log-sum-exp.
+// Section 2: softmax.
 // ---------------------------------------------------------------------
 
-fn bench_lse(len: usize, reps: usize) -> (f64, f64) {
+/// The two-`exp` fold `softmax_in_place` replaced: `log_sum_exp`'s
+/// Kahan normalizer `z`, then `exp(x − z)` per cell into `out`.
+fn two_exp_fold(xs: &[f64], out: &mut [f64]) -> f64 {
+    let z = log_sum_exp(xs);
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o = (x - z).exp();
+    }
+    z
+}
+
+/// Seconds per pass: (two-`exp` fold, `softmax_in_place`). The kernel
+/// overwrites its input, so each of its passes first copies the log
+/// weights in, as `FinitePosterior::from_log_weights` does.
+fn bench_softmax(len: usize, reps: usize) -> (f64, f64) {
     let xs: Vec<f64> = (0..len)
         .map(|i| ((i * 37) % 101) as f64 / 7.0 - 6.0)
         .collect();
-    let a = log_sum_exp(&xs);
-    let b = log_sum_exp_fast(&xs);
+    let mut fold = vec![0.0; len];
+    let mut kernel = xs.clone();
+    let a = two_exp_fold(&xs, &mut fold);
+    let b = softmax_in_place(&mut kernel);
     assert!(
         (a - b).abs() <= 1e-10 * a.abs().max(1.0),
-        "fast LSE drifted: {a} vs {b}"
+        "softmax normalizer drifted: {a} vs {b}"
+    );
+    assert!(
+        fold.iter()
+            .zip(&kernel)
+            .all(|(p, q)| (p - q).abs() <= 1e-12 * p),
+        "softmax probabilities drifted from the two-exp fold"
     );
     const PASSES: usize = 2_000;
-    let default = median_secs(reps, || {
+    let old = median_secs(reps, || {
         let mut acc = 0.0;
         for _ in 0..PASSES {
-            acc += log_sum_exp(black_box(&xs));
+            acc += two_exp_fold(black_box(&xs), &mut fold);
         }
-        black_box(acc);
+        black_box((acc, &fold));
     });
-    let fast = median_secs(reps, || {
+    let new = median_secs(reps, || {
         let mut acc = 0.0;
         for _ in 0..PASSES {
-            acc += log_sum_exp_fast(black_box(&xs));
+            kernel.copy_from_slice(black_box(&xs));
+            acc += softmax_in_place(&mut kernel);
         }
-        black_box(acc);
+        black_box((acc, &kernel));
     });
-    (default / PASSES as f64, fast / PASSES as f64)
+    (old / PASSES as f64, new / PASSES as f64)
 }
 
 // ---------------------------------------------------------------------
@@ -226,7 +253,7 @@ fn main() {
     let ba_iters = env_usize("DPLEARN_BENCH_KERNELS_BA_ITERS", 200);
     let ba_sizes = env_sizes("DPLEARN_BENCH_KERNELS_BA", &[32, 96, 256]);
     let mi_sizes = env_sizes("DPLEARN_BENCH_KERNELS_MI", &[256, 1024]);
-    let lse_lens = env_sizes("DPLEARN_BENCH_KERNELS_LSE", &[64, 1024, 16384]);
+    let softmax_lens = env_sizes("DPLEARN_BENCH_KERNELS_SOFTMAX", &[64, 1024, 16384]);
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows: Vec<Row> = Vec::new();
@@ -245,17 +272,17 @@ fn main() {
             ),
         });
 
-        for &len in &lse_lens {
-            let (default, fast) = bench_lse(len, reps);
+        for &len in &softmax_lens {
+            let (fold, kernel) = bench_softmax(len, reps);
             rows.push(Row {
-                section: "log_sum_exp",
+                section: "softmax",
                 threads,
                 fields: format!(
-                    "\"len\": {len}, \"default_ns\": {:.1}, \"fast_ns\": {:.1}, \
+                    "\"len\": {len}, \"two_exp_fold_ns\": {:.1}, \"softmax_ns\": {:.1}, \
                      \"speedup\": {:.3}",
-                    default * 1e9,
-                    fast * 1e9,
-                    default / fast
+                    fold * 1e9,
+                    kernel * 1e9,
+                    fold / kernel
                 ),
             });
         }

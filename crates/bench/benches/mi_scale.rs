@@ -45,7 +45,7 @@ use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::leakage::min_entropy_leakage_bits;
 use dplearn::infotheory::InfoError;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
-use dplearn::numerics::special::log_sum_exp;
+use dplearn::numerics::special::softmax_in_place;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -117,13 +117,10 @@ const EPS_ROWS: usize = 64;
 fn gibbs_channel(n: usize) -> FlatChannel {
     let mut rng = Xoshiro256::seed_from(n as u64);
     let mut kernel = Vec::with_capacity(EPS_ROWS * n);
-    let mut logits = vec![0.0f64; n];
     for _ in 0..EPS_ROWS {
-        for l in &mut logits {
-            *l = rng.next_f64();
-        }
-        let lse = log_sum_exp(&logits);
-        kernel.extend(logits.iter().map(|l| (l - lse).exp()));
+        let row = kernel.len();
+        kernel.extend((0..n).map(|_| rng.next_f64()));
+        softmax_in_place(&mut kernel[row..]);
     }
     FlatChannel::new(vec![1.0 / EPS_ROWS as f64; EPS_ROWS], kernel, n).unwrap()
 }

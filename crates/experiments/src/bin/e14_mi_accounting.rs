@@ -26,7 +26,7 @@ use dplearn::infotheory::dp_bounds::cuff_yu_mi_charge_nats;
 use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::mi_accounting::MiAccountant;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
-use dplearn::numerics::special::log_sum_exp;
+use dplearn::numerics::special::softmax_in_place;
 use dplearn_experiments::{banner, f, seed_from_args, verdict, Table};
 
 /// Gibbs-selection channel: m secrets, k hypotheses, rows
@@ -35,13 +35,10 @@ use dplearn_experiments::{banner, f, seed_from_args, verdict, Table};
 fn gibbs_channel(m: usize, k: usize, lambda: f64, rng: &mut Xoshiro256) -> FlatChannel {
     let input = vec![1.0 / m as f64; m];
     let mut kernel = Vec::with_capacity(m * k);
-    let mut logits = vec![0.0f64; k];
     for _ in 0..m {
-        for l in &mut logits {
-            *l = lambda * rng.next_f64();
-        }
-        let lse = log_sum_exp(&logits);
-        kernel.extend(logits.iter().map(|l| (l - lse).exp()));
+        let row = kernel.len();
+        kernel.extend((0..k).map(|_| lambda * rng.next_f64()));
+        softmax_in_place(&mut kernel[row..]);
     }
     FlatChannel::new(input, kernel, k).expect("valid channel")
 }

@@ -9,7 +9,7 @@
 //! categorical draws.
 
 use crate::rng::Rng;
-use crate::special::log_sum_exp;
+use crate::special::softmax_in_place;
 use crate::{NumericsError, Result};
 
 /// Types that can draw a value from a [`Rng`].
@@ -346,7 +346,8 @@ impl Categorical {
     }
 
     /// Build from unnormalized **log**-weights; normalization happens in
-    /// log space, so astronomically small or large weights are fine.
+    /// log space ([`softmax_in_place`]), so astronomically small or
+    /// large weights are fine.
     ///
     /// This is the entry point the exponential mechanism and Gibbs
     /// posterior use: their weights are `exp(score)` for scores that can
@@ -355,14 +356,14 @@ impl Categorical {
         if log_weights.is_empty() {
             return Err(NumericsError::EmptyInput);
         }
-        let z = log_sum_exp(log_weights);
+        let mut probs = log_weights.to_vec();
+        let z = softmax_in_place(&mut probs);
         if !z.is_finite() {
             return Err(NumericsError::InvalidParameter {
                 name: "log_weights",
                 reason: format!("log-normalizer is not finite ({z})"),
             });
         }
-        let probs: Vec<f64> = log_weights.iter().map(|&lw| (lw - z).exp()).collect();
         let (alias, cutoff) = Self::build_alias(&probs);
         Ok(Categorical {
             probs,
@@ -449,6 +450,7 @@ impl Sample for Categorical {
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
+    use crate::special::log_sum_exp;
     use crate::stats;
 
     fn close(a: f64, b: f64, tol: f64) {
@@ -550,6 +552,21 @@ mod tests {
         let d = Categorical::from_log_weights(&[-2000.0, -2000.0 + (2f64).ln()]).unwrap();
         close(d.prob(0), 1.0 / 3.0, 1e-12);
         close(d.prob(1), 2.0 / 3.0, 1e-12);
+    }
+
+    #[test]
+    fn categorical_from_log_weights_runs_the_softmax_kernel() {
+        let mut rng = Xoshiro256::seed_from(5);
+        for k in (1..=9).chain([4099]) {
+            let lw: Vec<f64> = (0..k).map(|_| 60.0 * rng.next_f64() - 30.0).collect();
+            let mut want = lw.clone();
+            softmax_in_place(&mut want);
+            let got = Categorical::from_log_weights(&lw).unwrap();
+            for (a, b) in got.probs().iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "k={k}");
+            }
+        }
+        assert!(Categorical::from_log_weights(&[0.0, f64::NAN]).is_err());
     }
 
     #[test]

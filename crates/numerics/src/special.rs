@@ -1,7 +1,8 @@
 //! Numerically careful special functions.
 //!
 //! Everything the PAC-Bayes and information-theory layers need lives here:
-//! log-domain reductions (`log_sum_exp`), the log-gamma function, the error
+//! log-domain reductions (`log_sum_exp`, and `softmax_in_place`, which
+//! turns log weights into probabilities), the log-gamma function, the error
 //! function, safe entropy terms (`xlogy`), a branch-free logarithm for
 //! vectorized loops (`ln_positive_normal`), and the Bernoulli KL divergence
 //! together with its upper inverse (used by Seeger/Maurer-style bounds).
@@ -110,28 +111,34 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + s.ln()
 }
 
-/// `log Σᵢ exp(xᵢ)` — the vectorization-friendly fast path.
+/// Softmax in place: overwrite the log weights `w` with the
+/// probabilities `exp(wᵢ − z)` and return the log normalizer
+/// `z = log Σᵢ exp(wᵢ)`, with one `exp` per cell.
 ///
-/// Semantics match [`log_sum_exp`] (`-inf` for an empty slice, `+inf`
-/// when any term is `+inf`) but the inner loops run over four
-/// independent lanes so the compiler can keep SIMD units busy:
+/// Three passes:
 ///
-/// * The **max scan** is four-lane but still *exact* — a maximum is the
-///   same value under any association, so the pivot `m` is bit-identical
-///   to the sequential fold in [`log_sum_exp`].
-/// * The **exp-sum** is four-lane and *uncompensated*: terms are added
-///   in a different association than the serial Kahan sum, so the
-///   result may differ from [`log_sum_exp`] in the last few ulps.
+/// 1. the maximum `m`, scanned in four lanes (a maximum is the same
+///    value under any association);
+/// 2. `wᵢ ← exp(wᵢ − m)`, written in place and summed in four fixed
+///    lanes: cell `i` goes to lane `i mod 4`, the lanes fold as
+///    `(l0 + l1) + (l2 + l3)`, and the tail cells are added in order, so
+///    the slice's length alone sets the association;
+/// 3. `wᵢ ← wᵢ / s`, one division per cell by that sum `s`.
 ///
-/// Per the workspace's pinning contract, this reordered-sum fast path is
-/// **opt-in**: default call sites keep [`log_sum_exp`] for bit-identical
-/// results, and consumers that switch (e.g. the MH fast log-prior) are
-/// pinned by `audit_discrete_par` distribution-equivalence instead of
-/// bit-identity.
-pub fn log_sum_exp_fast(xs: &[f64]) -> f64 {
+/// It returns `m + ln s`. A `−∞` weight becomes probability exactly 0.
+/// When the weights cannot be normalized the return value is not
+/// finite — `−∞` for an empty slice or when every weight is `−∞` or
+/// NaN, `+∞` when a weight is `+∞`, NaN when a NaN sits beside a finite
+/// weight — and the slice holds no meaningful values; the caller
+/// discards it.
+///
+/// The sum is uncompensated, so `z` may differ from [`log_sum_exp`]'s
+/// Kahan sum in the last ulps; the tests hold every probability within
+/// 1e-12 relative of the two-`exp` fold `exp(wᵢ − log_sum_exp(w))`.
+pub fn softmax_in_place(w: &mut [f64]) -> f64 {
     const LANES: usize = 4;
     let mut lane_max = [f64::NEG_INFINITY; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
+    let mut chunks = w.chunks_exact(LANES);
     for c in chunks.by_ref() {
         for (m, &x) in lane_max.iter_mut().zip(c) {
             *m = m.max(x);
@@ -141,24 +148,27 @@ pub fn log_sum_exp_fast(xs: &[f64]) -> f64 {
     for &x in chunks.remainder() {
         m = m.max(x);
     }
-    if m == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    if m == f64::INFINITY {
-        return f64::INFINITY;
+    if !m.is_finite() {
+        return m;
     }
     let mut lane_sum = [0.0f64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
+    let mut chunks = w.chunks_exact_mut(LANES);
     for c in chunks.by_ref() {
-        for (s, &x) in lane_sum.iter_mut().zip(c) {
-            *s += (x - m).exp();
+        for (s, x) in lane_sum.iter_mut().zip(c) {
+            *x = (*x - m).exp();
+            *s += *x;
         }
     }
-    let mut total: f64 = lane_sum.iter().sum();
-    for &x in chunks.remainder() {
-        total += (x - m).exp();
+    let [l0, l1, l2, l3] = lane_sum;
+    let mut sum = (l0 + l1) + (l2 + l3);
+    for x in chunks.into_remainder() {
+        *x = (*x - m).exp();
+        sum += *x;
     }
-    m + total.ln()
+    for x in w.iter_mut() {
+        *x /= sum;
+    }
+    m + sum.ln()
 }
 
 /// `log(1 + exp(x))` without overflow (the softplus function).
@@ -584,33 +594,131 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_fast_matches_slow_edge_cases() {
-        assert_eq!(log_sum_exp_fast(&[]), f64::NEG_INFINITY);
-        assert_eq!(log_sum_exp_fast(&[f64::NEG_INFINITY; 7]), f64::NEG_INFINITY);
-        assert_eq!(log_sum_exp_fast(&[1.0, f64::INFINITY]), f64::INFINITY);
+    fn softmax_in_place_edge_cases_match_log_sum_exp() {
+        // Weights that cannot be normalized: the same non-finite value
+        // as `log_sum_exp`.
+        let empty: [f64; 0] = [];
+        for w in [
+            &empty[..],
+            &[f64::NEG_INFINITY; 7],
+            &[1.0, f64::INFINITY],
+            &[f64::NAN; 5],
+            &[f64::NEG_INFINITY, f64::NAN],
+            &[1.0, f64::NAN, 2.0],
+        ] {
+            let z = softmax_in_place(&mut w.to_vec());
+            assert!(!z.is_finite(), "{w:?} normalized to {z}");
+            assert_eq!(z.to_bits(), log_sum_exp(w).to_bits(), "{w:?}");
+        }
         // Huge magnitudes: the pivot keeps both stable.
-        close(log_sum_exp_fast(&[1000.0, 1000.0]), 1000.0 + LN_2, 1e-9);
-        close(log_sum_exp_fast(&[-1000.0, -1000.0]), -1000.0 + LN_2, 1e-9);
+        for big in [1000.0, -1000.0] {
+            let mut w = [big, big];
+            close(softmax_in_place(&mut w), big + LN_2, 1e-9);
+            assert_eq!(w, [0.5, 0.5]);
+        }
+        // One weight: the normalizer is the weight and its probability 1.
+        let mut w = [-3.25];
+        assert_eq!(softmax_in_place(&mut w).to_bits(), (-3.25f64).to_bits());
+        assert_eq!(w, [1.0]);
+    }
+
+    /// The two-`exp` fold that `softmax_in_place` replaced, as the
+    /// oracle: `log_sum_exp`'s Kahan normalizer `z`, then `exp(wᵢ − z)`.
+    fn two_exp_fold(w: &[f64]) -> (f64, Vec<f64>) {
+        let z = log_sum_exp(w);
+        (z, w.iter().map(|&x| (x - z).exp()).collect())
+    }
+
+    /// `softmax_in_place` written by index: the maximum, then cell `i`
+    /// into lane `i % 4` up to the last full group of four, the lanes
+    /// folded `(l0 + l1) + (l2 + l3)`, the tail added in order, and one
+    /// division per cell.
+    fn lane_replica(w: &[f64]) -> (f64, Vec<f64>) {
+        let m = w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let e: Vec<f64> = w.iter().map(|&x| (x - m).exp()).collect();
+        let body = e.len() - e.len() % 4;
+        let mut lanes = [0.0f64; 4];
+        for i in 0..body {
+            lanes[i % 4] += e[i];
+        }
+        let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for &x in &e[body..] {
+            s += x;
+        }
+        (m + s.ln(), e.iter().map(|&x| x / s).collect())
+    }
+
+    /// Run the kernel on `w` and pin it: bit for bit to the lane replica,
+    /// and within 1e-12 relative of the two-`exp` oracle in the
+    /// normalizer and in every cell of at least 1e-290 (smaller cells
+    /// within 1e-300 absolute). Returns the probabilities.
+    fn assert_softmax_pinned(w: &[f64]) -> Vec<f64> {
+        let mut probs = w.to_vec();
+        let z = softmax_in_place(&mut probs);
+        let (rz, replica) = lane_replica(w);
+        assert_eq!(z.to_bits(), rz.to_bits(), "len {}: normalizer", w.len());
+        for (i, (p, r)) in probs.iter().zip(&replica).enumerate() {
+            assert_eq!(p.to_bits(), r.to_bits(), "len {}: cell {i}", w.len());
+        }
+        let (oz, oracle) = two_exp_fold(w);
+        assert!((z - oz).abs() <= 1e-12 * oz.abs().max(1.0), "{z} vs {oz}");
+        for (i, (&p, &q)) in probs.iter().zip(&oracle).enumerate() {
+            if q >= 1e-290 {
+                let rel = (p - q).abs() / q;
+                assert!(rel <= 1e-12, "len {}: cell {i}: {p:e} vs {q:e}", w.len());
+            } else {
+                assert!((p - q).abs() <= 1e-300, "cell {i}: {p:e} vs {q:e}");
+            }
+        }
+        probs
     }
 
     #[test]
-    fn log_sum_exp_fast_tracks_slow_within_ulps() {
-        // Deterministic pseudo-random logits over every length that
-        // exercises lane remainders 0..=3.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 40.0 - 20.0
-        };
-        for len in [1usize, 2, 3, 4, 5, 7, 8, 63, 64, 65, 256, 1000] {
-            let xs: Vec<f64> = (0..len).map(|_| next()).collect();
-            let slow = log_sum_exp(&xs);
-            let fast = log_sum_exp_fast(&xs);
-            let tol = 1e-13 * slow.abs().max(1.0);
-            close(fast, slow, tol);
+    fn softmax_in_place_matches_the_oracle_and_its_lane_replica() {
+        use crate::rng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(20_120_330);
+        // Every lane tail from 1 to 9 cells, and a long row with a tail
+        // of 3; about one cell in ten is −∞ (probability exactly 0).
+        for len in (1..=9).chain([4099]) {
+            for _ in 0..16 {
+                let w: Vec<f64> = (0..len)
+                    .map(|_| {
+                        if rng.next_f64() < 0.1 {
+                            f64::NEG_INFINITY
+                        } else {
+                            rng.next_f64() * 80.0 - 40.0
+                        }
+                    })
+                    .collect();
+                if w.iter().all(|&x| x == f64::NEG_INFINITY) {
+                    continue;
+                }
+                let probs = assert_softmax_pinned(&w);
+                for (p, x) in probs.iter().zip(&w) {
+                    assert_eq!(*p == 0.0, *x == f64::NEG_INFINITY, "{x} gave {p}");
+                }
+                let total: f64 = probs.iter().sum();
+                assert!((total - 1.0).abs() <= 1e-12, "len {len}: sum {total}");
+            }
         }
+    }
+
+    #[test]
+    fn softmax_in_place_underflows_cells_beyond_the_exp_range() {
+        use crate::rng::{Rng, Xoshiro256};
+        // Log weights spread over 800 > 745 nats: the cells more than
+        // ~745 below the maximum underflow to exactly 0, and the rest
+        // still normalize.
+        let mut rng = Xoshiro256::seed_from(1989);
+        let w: Vec<f64> = (0..4099).map(|_| -800.0 * rng.next_f64()).collect();
+        let probs = assert_softmax_pinned(&w);
+        let zeros = probs.iter().filter(|&&p| p == 0.0).count();
+        assert!(
+            zeros > 0 && zeros < probs.len(),
+            "{zeros} cells underflowed"
+        );
+        let total: f64 = probs.iter().sum();
+        assert!((total - 1.0).abs() <= 1e-12, "sum {total}");
     }
 
     #[test]

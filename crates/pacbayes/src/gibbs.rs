@@ -23,6 +23,14 @@ use dplearn_telemetry::{NoopRecorder, Recorder};
 
 /// The exact Gibbs posterior over a finite class:
 /// `π̂_λ(i) ∝ π(i)·exp(−λ·risks[i])`, computed in log space.
+///
+/// The log weights `ln π(i) − λ·risks[i]` are normalized in place by
+/// [`softmax_in_place`](dplearn_numerics::special::softmax_in_place):
+/// one `exp` per hypothesis, and one `ln` per run of equal prior
+/// probabilities (one in all for a uniform prior). A NaN risk, or a
+/// weight of `+∞` (a `−∞` risk at `λ > 0`), is rejected as an invalid
+/// `log_weights`; a `+∞` risk at `λ > 0` and a zero-mass prior cell get
+/// probability exactly 0.
 pub fn gibbs_finite(
     prior: &FinitePosterior,
     risks: &[f64],
@@ -40,19 +48,34 @@ pub fn gibbs_finite(
             reason: format!("temperature must be finite and nonnegative, got {lambda}"),
         });
     }
-    let log_weights: Vec<f64> = prior
-        .probs()
-        .iter()
-        .zip(risks)
-        .map(|(&p, &r)| {
-            if p == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                p.ln() - lambda * r
+    FinitePosterior::from_log_weight_vec(gibbs_log_weights(prior, risks, lambda))
+}
+
+/// The Gibbs posterior's unnormalized log weights
+/// `ln π(i) − λ·risks[i]`, `−∞` where `π(i) = 0`, over the common
+/// length of `prior` and `risks`.
+///
+/// The prior's `ln` is taken once per run of equal prior values, so a
+/// uniform prior costs one `ln`; every weight is bit-identical to taking
+/// the `ln` per hypothesis.
+pub(crate) fn gibbs_log_weights(prior: &FinitePosterior, risks: &[f64], lambda: f64) -> Vec<f64> {
+    let mut weights = Vec::with_capacity(prior.len().min(risks.len()));
+    let mut risks = risks;
+    // The `ln` stays outside the loop over a run's risks: inside it, the
+    // compiler may hoist `ln` above a "value changed" test and so take it
+    // for every hypothesis.
+    for run in prior.probs().chunk_by(|a, b| a == b) {
+        let (run_risks, rest) = risks.split_at(run.len().min(risks.len()));
+        match run.first() {
+            Some(&p) if p != 0.0 => {
+                let ln_p = p.ln();
+                weights.extend(run_risks.iter().map(|&r| ln_p - lambda * r));
             }
-        })
-        .collect();
-    FinitePosterior::from_log_weights(&log_weights)
+            _ => weights.extend(run_risks.iter().map(|_| f64::NEG_INFINITY)),
+        }
+        risks = rest;
+    }
+    weights
 }
 
 /// Diagnostics from a Metropolis–Hastings run.
@@ -786,6 +809,172 @@ mod tests {
         assert!(gibbs_finite(&prior, &[0.1], 1.0).is_err());
         assert!(gibbs_finite(&prior, &[0.1, 0.2], f64::NAN).is_err());
         assert!(gibbs_finite(&prior, &[0.1, 0.2], -1.0).is_err());
+    }
+
+    /// Log weights with a libm `ln` of the prior per hypothesis.
+    fn per_cell_log_weights(prior: &FinitePosterior, risks: &[f64], lambda: f64) -> Vec<f64> {
+        let weight = |(&p, &r): (&f64, &f64)| {
+            if p == 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                p.ln() - lambda * r
+            }
+        };
+        prior.probs().iter().zip(risks).map(weight).collect()
+    }
+
+    /// The three-transcendental fold `gibbs_finite` replaced, as the
+    /// oracle: an `ln` per hypothesis, `log_sum_exp`'s Kahan normalizer
+    /// `z` (one `exp` per hypothesis), then `exp(wᵢ − z)`.
+    fn three_transcendental_fold(
+        prior: &FinitePosterior,
+        risks: &[f64],
+        lambda: f64,
+    ) -> Result<Vec<f64>> {
+        let log_weights = per_cell_log_weights(prior, risks, lambda);
+        let z = dplearn_numerics::special::log_sum_exp(&log_weights);
+        if !z.is_finite() {
+            return Err(PacBayesError::InvalidParameter {
+                name: "log_weights",
+                reason: format!("log-normalizer is not finite ({z})"),
+            });
+        }
+        Ok(log_weights.iter().map(|&w| (w - z).exp()).collect())
+    }
+
+    /// Pin `gibbs_finite` to the oracle: log weights bit for bit, every
+    /// probability of at least 1e-290 within 1e-12 relative, smaller
+    /// ones within 1e-300. Returns the posterior.
+    fn assert_gibbs_pinned(prior: &FinitePosterior, risks: &[f64], lambda: f64) -> FinitePosterior {
+        let weights = gibbs_log_weights(prior, risks, lambda);
+        let per_cell = per_cell_log_weights(prior, risks, lambda);
+        for (i, (a, b)) in weights.iter().zip(&per_cell).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "log weight {i}: {a} vs {b}");
+        }
+        let got = gibbs_finite(prior, risks, lambda).unwrap();
+        let want = three_transcendental_fold(prior, risks, lambda).unwrap();
+        for (i, (&p, &q)) in got.probs().iter().zip(&want).enumerate() {
+            if q >= 1e-290 {
+                let rel = (p - q).abs() / q;
+                assert!(
+                    rel <= 1e-12,
+                    "λ={lambda} cell {i}: {p:e} vs {q:e} ({rel:e})"
+                );
+            } else {
+                assert!(
+                    (p - q).abs() <= 1e-300,
+                    "λ={lambda} cell {i}: {p:e} vs {q:e}"
+                );
+            }
+        }
+        got
+    }
+
+    fn random_prior(k: usize, rng: &mut Xoshiro256) -> FinitePosterior {
+        let w: Vec<f64> = (0..k).map(|_| 0.05 + rng.next_f64()).collect();
+        let total: f64 = w.iter().sum();
+        FinitePosterior::from_probs(w.iter().map(|x| x / total).collect()).unwrap()
+    }
+
+    #[test]
+    fn gibbs_matches_the_oracle_on_the_benchmark_channel() {
+        // `leakage_audit`'s channel: 8 rows of 2²¹ risks uniform in
+        // [0, 1), one substream per row, λ = 1, uniform prior.
+        let prior = FinitePosterior::uniform(1 << 21).unwrap();
+        for d in 0..8u64 {
+            let mut rng = Xoshiro256::substream(20_120_330, 0x0515_0000 + d);
+            let risks: Vec<f64> = (0..1 << 21).map(|_| rng.next_f64()).collect();
+            assert_gibbs_pinned(&prior, &risks, 1.0);
+        }
+    }
+
+    #[test]
+    fn gibbs_matches_the_oracle_at_every_lane_tail() {
+        let mut rng = Xoshiro256::seed_from(1989);
+        for k in (1..=9).chain([4099]) {
+            let uniform = FinitePosterior::uniform(k).unwrap();
+            let skewed = random_prior(k, &mut rng);
+            for lambda in [0.5, 3.0, 50.0] {
+                let risks: Vec<f64> = (0..k).map(|_| rng.next_f64()).collect();
+                assert_gibbs_pinned(&uniform, &risks, lambda);
+                assert_gibbs_pinned(&skewed, &risks, lambda);
+            }
+        }
+    }
+
+    #[test]
+    fn gibbs_at_lambda_zero_returns_a_uniform_prior_bit_for_bit() {
+        // Every log weight is ln(1/k), so each `exp` is exactly 1, the
+        // lane sum exactly k, and each probability the prior's 1/k.
+        let mut rng = Xoshiro256::seed_from(7);
+        for k in (1..=9).chain([10, 100, 1000, 4099]) {
+            let prior = FinitePosterior::uniform(k).unwrap();
+            let risks: Vec<f64> = (0..k).map(|_| rng.next_f64()).collect();
+            let post = gibbs_finite(&prior, &risks, 0.0).unwrap();
+            for (p, q) in post.probs().iter().zip(prior.probs()) {
+                assert_eq!(p.to_bits(), q.to_bits(), "k={k}: {p} vs {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn gibbs_takes_the_prior_ln_again_whenever_its_value_changes() {
+        // A prior alternating between two values, then one in runs of
+        // unequal length with zero-mass cells between equal values: the
+        // remembered `ln` must never leak into a cell of another value.
+        let k = 4099;
+        let alternating: Vec<f64> = (0..k).map(|i| [1.0, 3.0][i % 2]).collect();
+        let runs: Vec<f64> = (0..k).map(|i| [2.0, 2.0, 0.0, 2.0, 5.0][i % 5]).collect();
+        let mut rng = Xoshiro256::seed_from(11);
+        for w in [alternating, runs] {
+            let total: f64 = w.iter().sum();
+            let prior = FinitePosterior::from_probs(w.iter().map(|x| x / total).collect()).unwrap();
+            let risks: Vec<f64> = (0..k).map(|_| rng.next_f64()).collect();
+            let post = assert_gibbs_pinned(&prior, &risks, 2.0);
+            for (p, q) in post.probs().iter().zip(prior.probs()) {
+                assert_eq!(*p == 0.0, *q == 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn gibbs_edge_risks_keep_their_meaning() {
+        let prior = FinitePosterior::from_probs(vec![0.25, 0.25, 0.25, 0.25, 0.0]).unwrap();
+        // A NaN risk, and a −∞ risk (an infinite weight): the same typed
+        // rejection as the two-`exp` fold gives.
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let risks = [0.1, bad, 0.3, 0.4, 0.5];
+            let got = gibbs_finite(&prior, &risks, 2.0).unwrap_err();
+            let want = three_transcendental_fold(&prior, &risks, 2.0).unwrap_err();
+            assert!(matches!(
+                got,
+                PacBayesError::InvalidParameter {
+                    name: "log_weights",
+                    ..
+                }
+            ));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+        // A +∞ risk, and a zero-mass prior cell whatever its risk:
+        // probability exactly 0.
+        for last in [f64::NEG_INFINITY, f64::NAN, 0.0] {
+            let risks = [0.1, f64::INFINITY, 0.3, 0.4, last];
+            let post = assert_gibbs_pinned(&prior, &risks, 2.0);
+            assert_eq!(post.prob(1).to_bits(), 0.0f64.to_bits());
+            assert_eq!(post.prob(4).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn gibbs_underflows_hypotheses_beyond_the_exp_range() {
+        // λ = 800 on risks in [0, 1) spreads the log weights over ~800
+        // nats, past `exp`'s ~745: the worst hypotheses get exactly 0.
+        let mut rng = Xoshiro256::seed_from(1989);
+        let prior = FinitePosterior::uniform(4099).unwrap();
+        let risks: Vec<f64> = (0..4099).map(|_| rng.next_f64()).collect();
+        let post = assert_gibbs_pinned(&prior, &risks, 800.0);
+        let zeros = post.probs().iter().filter(|&&p| p == 0.0).count();
+        assert!(zeros > 0 && zeros < 4099, "{zeros} hypotheses underflowed");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `J_λ(π̂_λ) = −(1/λ)·ln E_π[e^{−λR̂}]` (the log-partition identity),
 //! giving an independent closed form the search must match.
 
-use crate::gibbs::gibbs_finite;
+use crate::gibbs::{gibbs_finite, gibbs_log_weights};
 use crate::kl::kl_finite;
 use crate::posterior::FinitePosterior;
 use crate::Result;
@@ -37,19 +37,7 @@ pub fn objective(
 /// negative log partition function over λ — the classic variational
 /// identity (a.k.a. the Donsker–Varadhan dual).
 pub fn analytic_minimum(prior: &FinitePosterior, risks: &[f64], lambda: f64) -> Result<f64> {
-    let log_weights: Vec<f64> = prior
-        .probs()
-        .iter()
-        .zip(risks)
-        .map(|(&p, &r)| {
-            if p == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                p.ln() - lambda * r
-            }
-        })
-        .collect();
-    Ok(-log_sum_exp(&log_weights) / lambda)
+    Ok(-log_sum_exp(&gibbs_log_weights(prior, risks, lambda)) / lambda)
 }
 
 /// A randomly perturbed variant of `base`: mixes with an independent

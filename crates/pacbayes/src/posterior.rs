@@ -12,7 +12,7 @@
 use crate::{PacBayesError, Result};
 use dplearn_numerics::distributions::{Categorical, Gaussian, Sample};
 use dplearn_numerics::rng::Rng;
-use dplearn_numerics::special::{kahan_sum, log_sum_exp, xlogy};
+use dplearn_numerics::special::{kahan_sum, softmax_in_place, xlogy};
 use std::sync::OnceLock;
 
 /// A probability distribution over a finite hypothesis class
@@ -80,24 +80,29 @@ impl FinitePosterior {
         Ok(FinitePosterior::from_validated(probs))
     }
 
-    /// From unnormalized log weights (normalized in log space).
+    /// From unnormalized log weights (normalized in log space by
+    /// [`softmax_in_place`]).
     pub fn from_log_weights(log_weights: &[f64]) -> Result<Self> {
-        if log_weights.is_empty() {
+        FinitePosterior::from_log_weight_vec(log_weights.to_vec())
+    }
+
+    /// [`from_log_weights`](Self::from_log_weights) on an owned vector,
+    /// which becomes the probability vector in place.
+    pub(crate) fn from_log_weight_vec(mut weights: Vec<f64>) -> Result<Self> {
+        if weights.is_empty() {
             return Err(PacBayesError::InvalidParameter {
                 name: "log_weights",
                 reason: "must be non-empty".to_string(),
             });
         }
-        let z = log_sum_exp(log_weights);
+        let z = softmax_in_place(&mut weights);
         if !z.is_finite() {
             return Err(PacBayesError::InvalidParameter {
                 name: "log_weights",
                 reason: format!("log-normalizer is not finite ({z})"),
             });
         }
-        Ok(FinitePosterior::from_validated(
-            log_weights.iter().map(|&lw| (lw - z).exp()).collect(),
-        ))
+        Ok(FinitePosterior::from_validated(weights))
     }
 
     /// Number of hypotheses.
@@ -369,6 +374,36 @@ mod tests {
         let p = FinitePosterior::from_log_weights(&[-1000.0, -1000.0]).unwrap();
         close(p.prob(0), 0.5, 1e-12);
         close(p.prob(1), 0.5, 1e-12);
+    }
+
+    #[test]
+    fn from_log_weights_runs_the_softmax_kernel() {
+        // The probabilities are `softmax_in_place`'s, bit for bit, and
+        // weights it cannot normalize are a typed rejection.
+        let mut rng = Xoshiro256::seed_from(3);
+        for k in (1..=9).chain([4099]) {
+            let lw: Vec<f64> = (0..k).map(|_| 60.0 * rng.next_f64() - 30.0).collect();
+            let mut want = lw.clone();
+            softmax_in_place(&mut want);
+            let got = FinitePosterior::from_log_weights(&lw).unwrap();
+            for (a, b) in got.probs().iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "k={k}");
+            }
+        }
+        for bad in [
+            vec![],
+            vec![f64::NAN, 0.0],
+            vec![0.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY; 3],
+        ] {
+            assert!(matches!(
+                FinitePosterior::from_log_weights(&bad),
+                Err(PacBayesError::InvalidParameter {
+                    name: "log_weights",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

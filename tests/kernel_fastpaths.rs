@@ -1,16 +1,18 @@
-//! Distribution-equivalence pinning for the reordered-sum fast paths.
+//! Distribution-equivalence pinning for the reordered-sum fast path.
 //!
 //! The workspace pinning contract has two tiers:
 //!
 //! 1. **Bit identity** — default code paths (`log_sum_exp`,
-//!    `DiagGaussian::ln_pdf`) replay the exact serial arithmetic order
-//!    and are pinned bit-for-bit by the determinism suite at every
-//!    `DPLEARN_THREADS` setting.
-//! 2. **Distribution equivalence** — the opt-in vectorized paths
-//!    (`log_sum_exp_fast`, `DiagGaussian::ln_pdf_fast` via
-//!    `MetropolisGibbs::with_fast_log_prior`) reorder floating-point
-//!    sums, so their outputs may differ from the defaults in the last
-//!    ulps. They are pinned here by the
+//!    `DiagGaussian::ln_pdf`, and `softmax_in_place`, whose four lanes
+//!    are fixed by the slice length alone) run one arithmetic order at
+//!    every `DPLEARN_THREADS` setting and are pinned bit-for-bit by the
+//!    determinism suite; `softmax_in_place` is also pinned to an
+//!    index-based lane replica in its unit tests.
+//! 2. **Distribution equivalence** — the opt-in vectorized path
+//!    (`DiagGaussian::ln_pdf_fast` via
+//!    `MetropolisGibbs::with_fast_log_prior`) reorders a floating-point
+//!    sum, so its outputs may differ from the default in the last
+//!    ulps. It is pinned here by the
 //!    `audit_discrete_par` empirical-ε harness: treating the default and
 //!    fast paths as the two "neighboring" mechanisms, the estimated
 //!    maximum log probability ratio between their output distributions

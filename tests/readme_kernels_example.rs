@@ -1,13 +1,18 @@
-//! Compile-and-run check for the vectorized-kernels example in README.md
-//! ("Fast paths"). If this test breaks, update the README.
+//! Compile-and-run check for the softmax-kernel example in README.md.
+//! If this test breaks, update the README.
 
-use dplearn::numerics::special::{log_sum_exp, log_sum_exp_fast};
+use dplearn::numerics::special::{log_sum_exp, softmax_in_place};
 
 #[test]
 fn readme_kernels_example_runs_as_written() {
-    // Default: the serial Kahan sum, bit-identical across runs, thread
-    // counts, and machines. Fast: four uncompensated lanes — last-ulp
-    // different, audit-pinned rather than bit-pinned. Choose it explicitly.
+    // Log weights in, probabilities out, the log normalizer returned.
     let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-    assert!((log_sum_exp(&xs) - log_sum_exp_fast(&xs)).abs() < 1e-12);
+    let mut probs = xs;
+    let z = softmax_in_place(&mut probs);
+    assert!((z - log_sum_exp(&xs)).abs() < 1e-12);
+    for (p, x) in probs.iter().zip(&xs) {
+        assert!((p - (x - z).exp()).abs() < 1e-12);
+    }
+    // Weights that cannot be normalized give a non-finite normalizer.
+    assert!(!softmax_in_place(&mut [0.0, f64::NAN]).is_finite());
 }

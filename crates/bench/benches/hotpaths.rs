@@ -414,7 +414,7 @@ fn bench_ba(n: usize, reps: usize) -> (f64, f64, usize) {
     let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
     let (naive_kernel, naive_iters) = uncached_ba(&source, &distortion, beta, tol, max_iters);
     assert_eq!(rd.iterations, naive_iters, "iteration counts must match");
-    for (a, b) in rd.channel.kernel().iter().zip(&naive_kernel) {
+    for (a, b) in rd.channel.rows().zip(&naive_kernel) {
         for (&qa, &qb) in a.iter().zip(b) {
             assert_eq!(qa.to_bits(), qb.to_bits(), "kernels must be bit-identical");
         }

@@ -120,15 +120,15 @@ pub fn learning_channel<P: Predictor + Sync, L: Loss + Sync>(
     prior: &FinitePosterior,
     lambda: f64,
 ) -> Result<LearningChannel> {
-    let mut kernel = Vec::with_capacity(space.len());
+    let mut kernel = Vec::with_capacity(space.len() * prior.len());
     let mut risks = Vec::with_capacity(space.len());
     for data in &space.datasets {
         let r = class.risk_vector(loss, data);
         let posterior = gibbs_finite(prior, &r, lambda)?;
-        kernel.push(posterior.probs().to_vec());
+        kernel.extend_from_slice(posterior.probs());
         risks.push(r);
     }
-    let channel = DiscreteChannel::new(space.probs.clone(), kernel)?;
+    let channel = DiscreteChannel::new(space.probs.clone(), kernel, prior.len())?;
     Ok(LearningChannel {
         channel,
         risks,
@@ -150,7 +150,7 @@ impl LearningChannel {
             .channel
             .input()
             .iter()
-            .zip(self.channel.kernel())
+            .zip(self.channel.rows())
             .zip(&self.risks)
         {
             let e: f64 = row.iter().zip(r).map(|(&q, &risk)| q * risk).sum();
@@ -167,8 +167,8 @@ impl LearningChannel {
     /// Expected KL to the prior, `E_Ẑ KL(π̂_Ẑ ‖ π)`.
     pub fn expected_kl_to_prior(&self) -> Result<f64> {
         let mut total = 0.0;
-        for (&pz, row) in self.channel.input().iter().zip(self.channel.kernel()) {
-            let post = FinitePosterior::from_probs(row.clone())?;
+        for (&pz, row) in self.channel.input().iter().zip(self.channel.rows()) {
+            let post = FinitePosterior::from_probs(row.to_vec())?;
             total += pz * kl_finite(&post, &self.prior)?;
         }
         Ok(total)
@@ -193,9 +193,9 @@ impl LearningChannel {
     /// rows of neighboring datasets (datasets differing in one example).
     pub fn neighbor_privacy_level(&self, space: &DatasetSpace) -> f64 {
         let mut worst = 0.0f64;
-        let kernel = self.channel.kernel();
-        for (i, (di, row_i)) in space.datasets.iter().zip(kernel).enumerate() {
-            for (dj, row_j) in space.datasets.iter().zip(kernel).skip(i + 1) {
+        let rows = self.channel.rows();
+        for (i, (di, row_i)) in space.datasets.iter().zip(rows.clone()).enumerate() {
+            for (dj, row_j) in space.datasets.iter().zip(rows.clone()).skip(i + 1) {
                 if !are_neighbors(di, dj) {
                     continue;
                 }

@@ -12,7 +12,6 @@ use crate::certificate::PrivacyCertificate;
 use crate::information::{learning_channel, DatasetSpace};
 use crate::Result;
 use dplearn_infotheory::dp_bounds;
-use dplearn_infotheory::leakage;
 use dplearn_learning::hypothesis::{FiniteClass, Predictor};
 use dplearn_learning::loss::Loss;
 use dplearn_learning::synth::DiscreteWorld;
@@ -67,7 +66,7 @@ pub fn epsilon_sweep<P: Predictor + Sync, L: Loss + Sync>(
         let lc = learning_channel(&space, class, loss, &prior, lambda)?;
         // Expected true risk: E_Ẑ Σ_j π̂_Ẑ(j)·R(θ_j).
         let mut true_risk = 0.0;
-        for (&pz, row) in lc.channel.input().iter().zip(lc.channel.kernel()) {
+        for (&pz, row) in lc.channel.input().iter().zip(lc.channel.rows()) {
             let e: f64 = row.iter().zip(true_risks).map(|(&q, &r)| q * r).sum();
             true_risk += pz * e;
         }
@@ -78,7 +77,7 @@ pub fn epsilon_sweep<P: Predictor + Sync, L: Loss + Sync>(
             expected_true_risk: true_risk,
             mi_nats: lc.mutual_information(),
             mi_bound_nats: dp_bounds::mi_bound_nats(eps, n)?,
-            leakage_bits: leakage::min_entropy_leakage_bits(&lc.channel),
+            leakage_bits: lc.channel.min_entropy_leakage_bits(),
             realized_epsilon: lc.neighbor_privacy_level(&space),
         });
     }

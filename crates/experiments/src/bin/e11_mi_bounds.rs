@@ -21,7 +21,6 @@ use dplearn::information::{learning_channel, DatasetSpace};
 use dplearn::infotheory::fano::{
     channel_input_bayes_error, channel_input_reconstruction_error_bound,
 };
-use dplearn::infotheory::leakage::{posterior_vulnerability, prior_vulnerability};
 use dplearn::learning::hypothesis::FiniteClass;
 use dplearn::learning::loss::ZeroOne;
 use dplearn::learning::synth::DiscreteWorld;
@@ -64,8 +63,8 @@ fn main() {
         let upper = dplearn::infotheory::dp_bounds::mi_bound_nats(eps, n).unwrap();
         let bayes = channel_input_bayes_error(&lc.channel);
         let fano = channel_input_reconstruction_error_bound(&lc.channel).unwrap();
-        let vuln = posterior_vulnerability(&lc.channel);
-        let cap = ((eps * n as f64).exp() * prior_vulnerability(&lc.channel)).min(1.0);
+        let vuln = lc.channel.posterior_vulnerability();
+        let cap = ((eps * n as f64).exp() * lc.channel.prior_vulnerability()).min(1.0);
         all_pass &= mi <= upper + 1e-12;
         all_pass &= mi <= capacity.nats + 1e-8;
         all_pass &= capacity.nats <= upper + 1e-8;

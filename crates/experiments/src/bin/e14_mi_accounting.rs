@@ -22,8 +22,8 @@
 //! Sizes default to k ∈ {4096, 10240} (override with
 //! `DPLEARN_E14_HYPOTHESES`, comma-separated).
 
+use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::dp_bounds::cuff_yu_mi_charge_nats;
-use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::mi_accounting::MiAccountant;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
 use dplearn::numerics::special::softmax_in_place;
@@ -32,7 +32,7 @@ use dplearn_experiments::{banner, f, seed_from_args, verdict, Table};
 /// Gibbs-selection channel: m secrets, k hypotheses, rows
 /// `p(θ|x) ∝ exp(λ·s_x(θ))` with i.i.d. uniform scores, built in log
 /// space so large λ·k stays stable.
-fn gibbs_channel(m: usize, k: usize, lambda: f64, rng: &mut Xoshiro256) -> FlatChannel {
+fn gibbs_channel(m: usize, k: usize, lambda: f64, rng: &mut Xoshiro256) -> DiscreteChannel {
     let input = vec![1.0 / m as f64; m];
     let mut kernel = Vec::with_capacity(m * k);
     for _ in 0..m {
@@ -40,7 +40,7 @@ fn gibbs_channel(m: usize, k: usize, lambda: f64, rng: &mut Xoshiro256) -> FlatC
         kernel.extend((0..k).map(|_| lambda * rng.next_f64()));
         softmax_in_place(&mut kernel[row..]);
     }
-    FlatChannel::new(input, kernel, k).expect("valid channel")
+    DiscreteChannel::new(input, kernel, k).expect("valid channel")
 }
 
 fn hypothesis_sizes() -> Vec<usize> {

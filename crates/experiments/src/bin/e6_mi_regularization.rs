@@ -90,7 +90,7 @@ fn main() {
                     raw.into_iter().map(|v| v / tot).collect()
                 })
                 .collect();
-            let challenger = dplearn::infotheory::channel::DiscreteChannel::new(
+            let challenger = dplearn::infotheory::channel::DiscreteChannel::from_rows(
                 space.probs.clone(),
                 kernel.clone(),
             )

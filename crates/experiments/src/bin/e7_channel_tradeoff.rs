@@ -78,8 +78,7 @@ fn main() {
     let input_dist = Categorical::new(lc.channel.input()).unwrap();
     let row_dists: Vec<Categorical> = lc
         .channel
-        .kernel()
-        .iter()
+        .rows()
         .map(|row| Categorical::new(row).unwrap())
         .collect();
     let mut ab = Table::new(&["N pairs", "plug-in", "Miller–Madow", "exact"]);

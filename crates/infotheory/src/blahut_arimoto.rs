@@ -61,7 +61,7 @@
 
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
-use dplearn_numerics::special::{kahan_sum, log_sum_exp, xlogx_over_y};
+use dplearn_numerics::special::log_sum_exp;
 use dplearn_robust::{ConvergenceReport, RetryPolicy};
 use dplearn_telemetry::{NoopRecorder, Recorder};
 
@@ -300,7 +300,6 @@ fn ba_loop(
     max_iters: usize,
     mut r: Vec<f64>,
     scratch: &mut BaScratch,
-    opts: &BaTileOptions,
     recorder: &dyn Recorder,
     stats: &mut BaTileStats,
 ) -> BaState {
@@ -322,19 +321,18 @@ fn ba_loop(
     // Hoisted so the noop path pays one virtual call per run, not one
     // per iteration.
     let observe = recorder.enabled();
-    let prune = opts.prune_zero_mass;
     // Rows the sweeps actually visit (for the rows_converged counter).
-    let active_rows = if prune {
-        source.iter().filter(|&&px| px != 0.0).count()
-    } else {
-        nx
-    } as u64;
+    let active_rows = source.iter().filter(|&&px| px != 0.0).count() as u64;
     let iter_tiles = (nx.div_ceil(row_tile) + ny.div_ceil(col_tile)) as u64;
-    // Set once the marginal is bitwise stationary: `gap == 0.0` means
-    // `r` and the marginal the sweep used agree bit for bit (every entry
-    // is a nonnegative sum, so there is no −0.0/+0.0 ambiguity and no
-    // NaN), and the next sweep is a pure function of `r` — recomputing it
-    // must reproduce the marginal and a zero gap exactly.
+    // Frozen early exit, set once the marginal is bitwise stationary:
+    // `gap == 0.0` means `r` and the marginal the sweep used agree bit for
+    // bit (every entry is a nonnegative sum, so there is no −0.0/+0.0
+    // ambiguity and no NaN), and the next sweep is a pure function of `r`
+    // — recomputing it must reproduce the marginal and a zero gap
+    // exactly. So later sweeps are skipped, while iteration counting and
+    // gap telemetry continue as if they had run. Only reachable when
+    // `tol ≤ 0` (a positive tolerance stops at the first zero gap): the
+    // fixed-iteration pattern the benches use.
     let mut frozen = false;
     while iterations < max_iters {
         iterations += 1;
@@ -357,8 +355,11 @@ fn ba_loop(
                 row_tile,
                 ny as u64 * ROW_CELL_COST,
                 |_chunk, start, sums| {
+                    // Zero-mass rows are pruned from both passes: their
+                    // w(x) = 0 makes every column-pass term an exact +0.0
+                    // on the never-negative accumulators.
                     for (x, s) in (start..).zip(sums.iter_mut()) {
-                        if prune && source[x] == 0.0 {
+                        if source[x] == 0.0 {
                             continue;
                         }
                         *s = row_sum(r, &gibbs[x * ny..(x + 1) * ny]);
@@ -366,8 +367,7 @@ fn ba_loop(
                 },
             );
         }
-        // w(x) = p(x)/s_x. A zero-mass row has w(x) = 0, so the column
-        // pass adds exact +0.0 for it whether or not it was pruned.
+        // w(x) = p(x)/s_x, and 0 for a zero-mass row.
         fallback.clear();
         for (x, (w, &px)) in weight.iter_mut().zip(source).enumerate() {
             *w = if px == 0.0 {
@@ -391,7 +391,7 @@ fn ba_loop(
                     cols.fill(0.0);
                     let width = cols.len();
                     for (x, &wx) in weight.iter().enumerate() {
-                        if prune && source[x] == 0.0 {
+                        if source[x] == 0.0 {
                             continue;
                         }
                         let row0 = x * ny + start;
@@ -424,7 +424,7 @@ fn ba_loop(
         if observe {
             recorder.histogram_record("infotheory.ba.gap", "", gap);
         }
-        if opts.frozen_early_exit && gap == 0.0 {
+        if gap == 0.0 {
             frozen = true;
         }
         if gap < tol {
@@ -457,21 +457,21 @@ fn ba_finalize(
         }
     }
     let r = &scratch.prev_r;
-    let mut kernel = Vec::with_capacity(source.len());
+    let mut kernel = vec![0.0; source.len() * ny];
     // Blahut's bound: c(y) = Σ_x w(x)·A(x,y), fallback rows included,
     // and Σ_x p(x)·ln Σ_y r(y)·exp(−β·d(x,y)).
     let mut c = vec![0.0; ny];
     let mut log_norm = 0.0;
     let mut bounded = true;
-    for ((&px, row_d), a_x) in source.iter().zip(distortion).zip(scratch.gibbs.chunks(ny)) {
+    let rows = source.iter().zip(distortion).zip(scratch.gibbs.chunks(ny));
+    for (((&px, row_d), a_x), q) in rows.zip(kernel.chunks_mut(ny)) {
         let s = row_sum(r, a_x);
-        let mut q = vec![0.0; ny];
         if row_sum_ok(s) {
             for ((q, &ry), &a) in q.iter_mut().zip(r).zip(a_x) {
                 *q = ry * a / s;
             }
         } else {
-            log_space_row(&mut q, r, row_d, beta);
+            log_space_row(q, r, row_d, beta);
         }
         if px != 0.0 {
             bounded &= s > 0.0;
@@ -481,12 +481,11 @@ fn ba_finalize(
                 *cy += w * a;
             }
         }
-        kernel.push(q);
     }
-    let channel = DiscreteChannel::new(source.to_vec(), kernel)?;
+    let channel = DiscreteChannel::new(source.to_vec(), kernel, ny)?;
     let rate = channel.mutual_information();
     let mut dist = 0.0;
-    for ((&px, row_q), row_d) in source.iter().zip(channel.kernel()).zip(distortion) {
+    for ((&px, row_q), row_d) in source.iter().zip(channel.rows()).zip(distortion) {
         for (&q, &d) in row_q.iter().zip(row_d) {
             dist += px * q * d;
         }
@@ -603,7 +602,6 @@ pub fn blahut_arimoto_with_retry_recorded(
             budget,
             r,
             &mut scratch,
-            &opts,
             recorder,
             &mut stats,
         );
@@ -651,14 +649,12 @@ pub fn blahut_arimoto_with_retry_recorded(
     })
 }
 
-/// Tiling and acceleration options for [`blahut_arimoto_tiled`].
+/// Tile geometry for [`blahut_arimoto_tiled`].
 ///
 /// No option value changes a bit of the result: tile boundaries never
-/// change an accumulation order, and both accelerators (zero-mass
-/// pruning, frozen early-exit) are *exact* — they skip only work whose
-/// result is provably bit-identical to recomputing it, so they are safe
-/// to leave on (pinned by `tiled_is_bit_identical_across_tile_sizes`).
-#[derive(Debug, Clone)]
+/// change an accumulation order (pinned by
+/// `tiled_is_bit_identical_across_tile_sizes`).
+#[derive(Debug, Clone, Default)]
 pub struct BaTileOptions {
     /// Source rows per parallel tile in the row pass and in building `A`
     /// (`0` = auto: `nx/64`).
@@ -666,39 +662,15 @@ pub struct BaTileOptions {
     /// Output columns per parallel tile in the column pass
     /// (`0` = auto: `ny/64`, but at least 64 columns).
     pub col_tile: usize,
-    /// Skip zero-mass source rows in both passes. Such a row has
-    /// `w(x) = 0`, so its column-pass terms are exact `+0.0` no-ops on
-    /// the never-negative accumulators; the final channel still builds
-    /// its row — bit-identical either way.
-    pub prune_zero_mass: bool,
-    /// Once an iteration leaves the marginal bitwise unchanged
-    /// (ℓ∞ gap exactly `0.0`), every subsequent sweep is provably
-    /// identical to the last computed one, so the sweeps are skipped;
-    /// iteration counting and gap telemetry continue exactly as if they
-    /// had run. Only reachable when `tol ≤ 0` (a positive tolerance
-    /// stops at the first zero gap anyway) — the fixed-iteration
-    /// benchmarking pattern this crate's benches use.
-    pub frozen_early_exit: bool,
 }
 
-impl Default for BaTileOptions {
-    fn default() -> Self {
-        BaTileOptions {
-            row_tile: 0,
-            col_tile: 0,
-            prune_zero_mass: true,
-            frozen_early_exit: true,
-        }
-    }
-}
-
-/// [`blahut_arimoto`] with explicit tile geometry and the exact
-/// accelerators of [`BaTileOptions`] — the large-alphabet entry point.
+/// [`blahut_arimoto`] with explicit tile geometry — the large-alphabet
+/// entry point.
 ///
 /// Bit-identical to [`blahut_arimoto`] for **any** option values at
-/// **any** `DPLEARN_THREADS` (the accelerators only skip provably
-/// redundant work; tile boundaries never change an accumulation order) —
-/// pinned across tile sizes {1, 7, 64, 4096} in `tests/determinism.rs`.
+/// **any** `DPLEARN_THREADS` (tile boundaries never change an
+/// accumulation order) — pinned across tile sizes {1, 7, 64, 4096} in
+/// `tests/determinism.rs`.
 pub fn blahut_arimoto_tiled(
     source: &[f64],
     distortion: &[Vec<f64>],
@@ -746,7 +718,6 @@ pub fn blahut_arimoto_tiled_recorded(
         max_iters,
         r,
         &mut scratch,
-        opts,
         recorder,
         &mut stats,
     );
@@ -775,7 +746,7 @@ pub fn blahut_arimoto_tiled_recorded(
 pub fn gibbs_fixed_point_gap(rd: &RateDistortion, distortion: &[Vec<f64>], beta: f64) -> f64 {
     let r = rd.channel.output_marginal();
     let mut worst = 0.0f64;
-    for (row_q, row_d) in rd.channel.kernel().iter().zip(distortion) {
+    for (row_q, row_d) in rd.channel.rows().zip(distortion) {
         let logits: Vec<f64> = r
             .iter()
             .zip(row_d)
@@ -804,7 +775,7 @@ pub fn lagrangian(
     distortion: &[Vec<f64>],
     beta: f64,
 ) -> Result<f64> {
-    let channel = DiscreteChannel::new(source.to_vec(), kernel.to_vec())?;
+    let channel = DiscreteChannel::from_rows(source.to_vec(), kernel.to_vec())?;
     let mut dist = 0.0;
     for ((&px, row_q), row_d) in source.iter().zip(kernel).zip(distortion) {
         for (&q, &d) in row_q.iter().zip(row_d) {
@@ -814,15 +785,11 @@ pub fn lagrangian(
     Ok(channel.mutual_information() + beta * dist)
 }
 
-/// Exact KL divergence between two channel rows — helper for tests.
-pub fn row_kl(p: &[f64], q: &[f64]) -> f64 {
-    kahan_sum(p.iter().zip(q).map(|(&a, &b)| xlogx_over_y(a, b)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dplearn_numerics::rng::{Rng, Xoshiro256};
+    use dplearn_numerics::special::{kahan_sum, xlogx_over_y};
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
@@ -889,7 +856,8 @@ mod tests {
         let distortion = vec![vec![0.0, 1.0], vec![0.8, 0.1]];
         let beta = 1.5;
         let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-        let opt = lagrangian(&source, rd.channel.kernel(), &distortion, beta).unwrap();
+        let rows: Vec<Vec<f64>> = rd.channel.rows().map(<[f64]>::to_vec).collect();
+        let opt = lagrangian(&source, &rows, &distortion, beta).unwrap();
         let mut rng = Xoshiro256::seed_from(91);
         for _ in 0..2000 {
             let kernel: Vec<Vec<f64>> = (0..2)
@@ -1056,7 +1024,7 @@ mod tests {
     }
 
     fn assert_kernel_bits(got: &RateDistortion, want: &[Vec<f64>], what: &str) {
-        for (row, want_row) in got.channel.kernel().iter().zip(want) {
+        for (row, want_row) in got.channel.rows().zip(want) {
             for (&q, &wq) in row.iter().zip(want_row) {
                 assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted: {what}");
             }
@@ -1139,14 +1107,14 @@ mod tests {
                 budget,
                 r,
                 &mut scratch,
-                &opts,
                 &NoopRecorder,
                 &mut BaTileStats::default(),
             );
             if state.converged {
                 let fresh =
                     ba_finalize(&source, &distortion, beta, &mut scratch, state.gap, 0).unwrap();
-                assert_kernel_bits(&rd, fresh.channel.kernel(), "fresh scratch per attempt");
+                let fresh_rows: Vec<Vec<f64>> = fresh.channel.rows().map(<[f64]>::to_vec).collect();
+                assert_kernel_bits(&rd, &fresh_rows, "fresh scratch per attempt");
                 assert_eq!(rep.attempts, attempt + 1);
                 break;
             }
@@ -1172,8 +1140,7 @@ mod tests {
             let rd = blahut_arimoto(&source, &distortion, 3.0, 1e-13, 50_000).unwrap();
             let kernel_bits: Vec<Vec<u64>> = rd
                 .channel
-                .kernel()
-                .iter()
+                .rows()
                 .map(|row| row.iter().map(|v| v.to_bits()).collect())
                 .collect();
             (kernel_bits, rd.rate.to_bits(), rd.iterations)
@@ -1375,7 +1342,7 @@ mod tests {
             assert_eq!(got.iterations, want.iterations);
             assert_eq!(got.rate.to_bits(), want.rate.to_bits());
             assert_eq!(got.distortion.to_bits(), want.distortion.to_bits());
-            for (row, want_row) in got.channel.kernel().iter().zip(want.channel.kernel()) {
+            for (row, want_row) in got.channel.rows().zip(want.channel.rows()) {
                 for (&q, &wq) in row.iter().zip(want_row) {
                     assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted at β={beta}");
                 }
@@ -1397,7 +1364,6 @@ mod tests {
                     let opts = BaTileOptions {
                         row_tile: tile,
                         col_tile: tile,
-                        ..BaTileOptions::default()
                     };
                     let got =
                         blahut_arimoto_tiled(&source, &distortion, beta, 1e-13, 50_000, &opts)
@@ -1494,7 +1460,6 @@ mod tests {
         let opts = BaTileOptions {
             row_tile: 1,
             col_tile: 1,
-            ..BaTileOptions::default()
         };
         let run = |threads| {
             dplearn_parallel::set_thread_count(threads);
@@ -1552,14 +1517,14 @@ mod tests {
         let (want_kernel, _, want_iters) =
             naive_ba_reference(source, distortion, beta, tol, max_iters);
         assert_eq!(rd.iterations, want_iters, "iterations at β={beta}");
-        let want = DiscreteChannel::new(source.to_vec(), want_kernel).unwrap();
+        let want = DiscreteChannel::from_rows(source.to_vec(), want_kernel).unwrap();
         let want_rate = want.mutual_information();
         assert!(
             rel_err(rd.rate, want_rate) <= 1e-12,
             "rate {} vs oracle {want_rate} at β={beta}",
             rd.rate
         );
-        for (row, want_row) in rd.channel.kernel().iter().zip(want.kernel()) {
+        for (row, want_row) in rd.channel.rows().zip(want.rows()) {
             close(kahan_sum(row.iter().copied()), 1.0, 1e-12);
             for (&q, &wq) in row.iter().zip(want_row) {
                 assert!(!q.is_nan());
@@ -1594,6 +1559,46 @@ mod tests {
     }
 
     #[test]
+    fn rate_is_the_mi_kernel_value_and_near_the_old_boxed_fold() {
+        // The benchmark's 384-symbol problem at β 16. The rate comes from
+        // the channel's MI kernel, bit for bit; the fold it replaced (one
+        // `xlogx_over_y` per cell into one accumulator, over boxed rows)
+        // agrees to rounding.
+        let (source, distortion) = abs_distance_problem(384);
+        let rd = blahut_arimoto(&source, &distortion, 16.0, 1e-5, 2_000).unwrap();
+        assert_eq!(rd.iterations, 241);
+        for tile in [1, 7, 64, 4096] {
+            let kernel = rd.channel.mutual_information_blocked(tile).unwrap();
+            assert_eq!(rd.rate.to_bits(), kernel.to_bits(), "tile={tile}");
+        }
+        assert_eq!(
+            rd.rate.to_bits(),
+            rd.channel.mutual_information_naive().to_bits()
+        );
+        let rows: Vec<Vec<f64>> = rd.channel.rows().map(<[f64]>::to_vec).collect();
+        let mut marginal = vec![0.0; rows[0].len()];
+        for (&px, row) in source.iter().zip(&rows) {
+            for (o, &q) in marginal.iter_mut().zip(row) {
+                *o += px * q;
+            }
+        }
+        let mut boxed = 0.0;
+        for (&px, row) in source.iter().zip(&rows) {
+            if px != 0.0 {
+                for (&q, &py) in row.iter().zip(&marginal) {
+                    boxed += px * xlogx_over_y(q, py);
+                }
+            }
+        }
+        let boxed = boxed.max(0.0);
+        assert!(
+            rel_err(rd.rate, boxed) <= 1e-12,
+            "rate {} vs boxed fold {boxed}",
+            rd.rate
+        );
+    }
+
+    #[test]
     fn subnormal_marginal_keeps_the_rate_finite() {
         // Most of this marginal ends subnormal. Without the flush the
         // cells of those columns underflow out of the channel's output
@@ -1612,7 +1617,6 @@ mod tests {
             max_iters,
             vec![1.0 / 16.0; 16],
             &mut scratch,
-            &opts,
             &NoopRecorder,
             &mut BaTileStats::default(),
         );
@@ -1659,7 +1663,6 @@ mod tests {
                 max_iters,
                 vec![1.0 / 3.0; 3],
                 &mut scratch,
-                &opts,
                 &NoopRecorder,
                 &mut BaTileStats::default(),
             );

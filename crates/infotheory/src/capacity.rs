@@ -17,9 +17,9 @@
 //! step, which this implementation uses as its convergence criterion —
 //! the returned capacity carries a rigorous error bound.
 
-use crate::channel::DiscreteChannel;
+use crate::channel::{DiscreteChannel, TILE};
+use crate::flat::{output_marginal_kernel, row_information};
 use crate::{InfoError, Result};
-use dplearn_numerics::special::xlogx_over_y;
 
 /// Result of a capacity computation.
 #[derive(Debug, Clone)]
@@ -35,14 +35,25 @@ pub struct Capacity {
 }
 
 /// Compute the capacity of a channel given by kernel rows `p(y|x)`,
-/// to within bracket width `tol` nats.
+/// to within bracket width `tol` nats. The rows are validated by
+/// [`DiscreteChannel::from_rows`].
 pub fn channel_capacity(kernel: &[Vec<f64>], tol: f64, max_iters: usize) -> Result<Capacity> {
-    if kernel.is_empty() {
-        return Err(InfoError::InvalidParameter {
-            name: "kernel",
-            reason: "need at least one input".to_string(),
-        });
-    }
+    let nx = kernel.len();
+    let channel = DiscreteChannel::from_rows(vec![1.0 / nx as f64; nx], kernel.to_vec())?;
+    capacity_iteration(&channel, tol, max_iters)
+}
+
+/// Capacity of an existing [`DiscreteChannel`]'s kernel (ignores its
+/// input distribution, which capacity optimizes over).
+pub fn capacity_of(channel: &DiscreteChannel, tol: f64) -> Result<Capacity> {
+    capacity_iteration(channel, tol, 100_000)
+}
+
+/// The iteration on the channel's own storage, from the uniform input.
+/// The marginal and the per-row divergence `D(p(·|x) ‖ r)` come from the
+/// channel kernels: [`output_marginal_kernel`] over the current input,
+/// and the MI row kernel [`row_information`].
+fn capacity_iteration(channel: &DiscreteChannel, tol: f64, max_iters: usize) -> Result<Capacity> {
     // Panic-free policy sweep: a NaN or negative tolerance previously
     // burned the whole iteration budget before surfacing as a spurious
     // DidNotConverge (every `upper − lower ≤ tol` comparison is false);
@@ -60,37 +71,14 @@ pub fn channel_capacity(kernel: &[Vec<f64>], tol: f64, max_iters: usize) -> Resu
             reason: "need at least one iteration".to_string(),
         });
     }
-    let ny = kernel.first().map_or(0, |r| r.len());
-    for row in kernel {
-        crate::validate_distribution("kernel row", row)?;
-        if row.len() != ny {
-            return Err(InfoError::InvalidParameter {
-                name: "kernel",
-                reason: "ragged kernel".to_string(),
-            });
-        }
-    }
-    let nx = kernel.len();
+    let (kernel, ny) = (channel.kernel_flat(), channel.n_outputs());
+    let nx = channel.n_inputs();
     let mut p = vec![1.0 / nx as f64; nx];
     let mut iterations = 0;
     loop {
         iterations += 1;
-        // Output marginal.
-        let mut r = vec![0.0; ny];
-        for (&px, row) in p.iter().zip(kernel) {
-            for (acc, &q) in r.iter_mut().zip(row) {
-                *acc += px * q;
-            }
-        }
-        // Per-input divergence D(p(·|x) ‖ r) and its exponential.
-        let mut log_c = vec![0.0; nx];
-        for (lc, row) in log_c.iter_mut().zip(kernel) {
-            *lc = row
-                .iter()
-                .zip(&r)
-                .map(|(&q, &ry)| xlogx_over_y(q, ry))
-                .sum();
-        }
+        let r = output_marginal_kernel(&p, kernel, ny, TILE);
+        let log_c: Vec<f64> = channel.rows().map(|row| row_information(row, &r)).collect();
         let lower = {
             // ln Σ p·c computed stably.
             let s: f64 = p.iter().zip(&log_c).map(|(&px, &lc)| px * lc.exp()).sum();
@@ -118,12 +106,6 @@ pub fn channel_capacity(kernel: &[Vec<f64>], tol: f64, max_iters: usize) -> Resu
             *px /= total;
         }
     }
-}
-
-/// Capacity of an existing [`DiscreteChannel`]'s kernel (ignores its
-/// input distribution, which capacity optimizes over).
-pub fn capacity_of(channel: &DiscreteChannel, tol: f64) -> Result<Capacity> {
-    channel_capacity(channel.kernel(), tol, 100_000)
 }
 
 #[cfg(test)]
@@ -206,7 +188,7 @@ mod tests {
         let mut best = 0.0f64;
         for i in 1..10_000 {
             let p1 = i as f64 / 10_000.0;
-            let c = DiscreteChannel::new(vec![1.0 - p1, p1], kernel.clone()).unwrap();
+            let c = DiscreteChannel::from_rows(vec![1.0 - p1, p1], kernel.clone()).unwrap();
             best = best.max(c.mutual_information());
         }
         close(cap.nats, best, 1e-6);
@@ -228,7 +210,7 @@ mod tests {
             vec![0.6, 0.3, 0.1],
             vec![0.05, 0.05, 0.9],
         ] {
-            let c = DiscreteChannel::new(input, kernel.clone()).unwrap();
+            let c = DiscreteChannel::from_rows(input, kernel.clone()).unwrap();
             assert!(cap.nats >= c.mutual_information() - 1e-8);
         }
     }

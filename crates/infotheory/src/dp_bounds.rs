@@ -120,8 +120,11 @@ mod tests {
         // inputs, rows within e^ε. Its MI must be ≤ ε nats.
         for &eps in &[0.1f64, 0.5, 1.0, 2.0] {
             let p = eps.exp() / (eps.exp() + 1.0);
-            let c = DiscreteChannel::new(vec![0.5, 0.5], vec![vec![p, 1.0 - p], vec![1.0 - p, p]])
-                .unwrap();
+            let c = DiscreteChannel::from_rows(
+                vec![0.5, 0.5],
+                vec![vec![p, 1.0 - p], vec![1.0 - p, p]],
+            )
+            .unwrap();
             // Construction check: the channel really is ε-DP.
             assert!((c.max_row_log_ratio() - eps).abs() < 1e-9);
             let mi = c.mutual_information();
@@ -140,7 +143,8 @@ mod tests {
         let eps = 0.1f64;
         let p = eps.exp() / (eps.exp() + 1.0);
         let c =
-            DiscreteChannel::new(vec![0.5, 0.5], vec![vec![p, 1.0 - p], vec![1.0 - p, p]]).unwrap();
+            DiscreteChannel::from_rows(vec![0.5, 0.5], vec![vec![p, 1.0 - p], vec![1.0 - p, p]])
+                .unwrap();
         let mi = c.mutual_information();
         assert!(mi < eps * eps); // quadratic behaviour
         assert!(mi <= per_record_mi_bound_nats(eps).unwrap());
@@ -172,8 +176,11 @@ mod tests {
         // below the linear ε bound.
         for &eps in &[0.1f64, 0.5, 1.0, 2.0] {
             let p = eps.exp() / (eps.exp() + 1.0);
-            let c = DiscreteChannel::new(vec![0.5, 0.5], vec![vec![p, 1.0 - p], vec![1.0 - p, p]])
-                .unwrap();
+            let c = DiscreteChannel::from_rows(
+                vec![0.5, 0.5],
+                vec![vec![p, 1.0 - p], vec![1.0 - p, p]],
+            )
+            .unwrap();
             let mi = c.mutual_information();
             let charge = cuff_yu_mi_charge_nats(eps).unwrap();
             assert!(

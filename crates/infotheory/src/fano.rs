@@ -74,11 +74,11 @@ pub fn channel_input_reconstruction_error_bound(channel: &DiscreteChannel) -> Re
 }
 
 /// Exact Bayes (MAP) error of reconstructing the channel input from the
-/// output: `1 − Σ_y max_x p(x)p(y|x)` — the complement of the posterior
-/// vulnerability of the leakage module. The Fano bound must lie below
+/// output: `1 − Σ_y max_x p(x)p(y|x)` — the complement of the channel's
+/// posterior vulnerability. The Fano bound must lie below
 /// this value; the gap measures the bound's slack on this channel.
 pub fn channel_input_bayes_error(channel: &DiscreteChannel) -> f64 {
-    1.0 - crate::leakage::posterior_vulnerability(channel)
+    1.0 - channel.posterior_vulnerability()
 }
 
 #[cfg(test)]
@@ -127,7 +127,7 @@ mod tests {
         }
         // On a concrete noisy channel the exact Bayes error dominates the
         // Fano bound.
-        let c = DiscreteChannel::new(
+        let c = DiscreteChannel::from_rows(
             vec![0.25; 4],
             vec![
                 vec![0.7, 0.1, 0.1, 0.1],
@@ -151,7 +151,8 @@ mod tests {
         // error is exactly f — Fano is tight for k = 2.
         let f = 0.2;
         let c =
-            DiscreteChannel::new(vec![0.5, 0.5], vec![vec![1.0 - f, f], vec![f, 1.0 - f]]).unwrap();
+            DiscreteChannel::from_rows(vec![0.5, 0.5], vec![vec![1.0 - f, f], vec![f, 1.0 - f]])
+                .unwrap();
         let fano = channel_input_reconstruction_error_bound(&c).unwrap();
         let bayes = channel_input_bayes_error(&c);
         close(bayes, f, 1e-12);

@@ -1,30 +1,24 @@
-//! Cache-blocked channel kernels for large alphabets (10⁴+ symbols).
+//! The channel kernels: the one implementation of every quantity of a
+//! [`DiscreteChannel`], cache-blocked for large alphabets (10⁴+ symbols).
 //!
-//! [`DiscreteChannel`] stores its kernel as one boxed `Vec` per row —
-//! fine at the 2–256 symbol sizes the experiments started at, but at
-//! ROADMAP item 5's 10⁴+ hypotheses the per-row pointer chase dominates:
-//! the naive posterior-vulnerability pass walks the matrix
-//! **column-major across row allocations** (one `row[y]` load per row
-//! per output symbol), missing cache on nearly every access.
-//!
-//! [`FlatChannel`] keeps the same validated data in a single flat
-//! row-major buffer and exposes **blocked** (tile-based) versions of the
-//! O(n²) scans — output marginal, mutual information, min-entropy
-//! leakage, and the `dp_bounds`-adjacent worst-row-ratio scan. Tiles are
-//! dispatched over the `dplearn-parallel` worker pool with
-//! fixed-size chunks, so results are bit-identical at every
-//! `DPLEARN_THREADS` setting, and — because every blocked fold keeps the
-//! *same association* as its reference loop — bit-identical at every
-//! tile size too:
+//! The channel keeps its kernel in one flat row-major buffer, so each
+//! O(nx·ny) scan — output marginal, mutual information, min-entropy
+//! leakage, and the `dp_bounds`-adjacent worst-row-ratio scan — walks
+//! contiguous memory in **blocked** (tile-based) sweeps instead of
+//! chasing one allocation per row. Tiles are dispatched over the
+//! `dplearn-parallel` worker pool with fixed-size chunks, so results are
+//! bit-identical at every `DPLEARN_THREADS` setting, and — because every
+//! blocked fold keeps the *same association* as its reference loop —
+//! bit-identical at every tile size too. The tile-free methods in
+//! [`crate::channel`] run these same kernels at a fixed tile. The unit
+//! tests keep each boxed-row loop as an independent oracle:
 //!
 //! * `output_marginal_blocked` accumulates each column's contributions
-//!   in source order — the same per-column addition sequence as
-//!   [`DiscreteChannel::output_marginal`], so it is **bit-identical** to
-//!   it (pinned in `tests/determinism.rs`).
+//!   in source order — the same per-column addition sequence as the
+//!   boxed-row loop, so it is **bit-identical** to it.
 //! * `posterior_vulnerability_blocked` takes each column's max over
 //!   inputs in source order, then sums the per-column bests in output
-//!   order — the same operations as
-//!   [`crate::leakage::posterior_vulnerability`], so it is
+//!   order — the same operations as the boxed column scan, so it is
 //!   **bit-identical** to it.
 //! * `mutual_information_blocked` runs one row kernel per *row*, then
 //!   folds the per-row values in input order with Kahan compensation.
@@ -38,18 +32,17 @@
 //!   normal number — subnormal, or `+∞` from a `p(y)` that underflowed
 //!   to 0 — is redone with [`xlogx_over_y`] in the same lanes, so zeros
 //!   and `+∞` keep their meaning. The serial replica
-//!   [`FlatChannel::mutual_information_naive`] (no tiling, no dispatch)
-//!   runs the same kernel and is pinned **bit-identical** at every tile
-//!   size and thread count. The tests keep the one-libm-`ln`-per-cell
-//!   fold as an oracle, within 1e-12 relative; so is the boxed
-//!   [`DiscreteChannel::mutual_information`], a different association.
+//!   [`DiscreteChannel::mutual_information_naive`] (no tiling, no
+//!   dispatch) runs the same kernel and is pinned **bit-identical** at
+//!   every tile size and thread count. The tests keep the
+//!   one-libm-`ln`-per-cell fold as an oracle, within 1e-12 relative; so
+//!   is the boxed-row fold into one global sum, a different association.
 //! * `max_row_log_ratio_blocked` first drops every column whose ratio
-//!   provably cannot hold the maximum, then runs the pairwise loop of
-//!   [`DiscreteChannel::max_row_log_ratio`] on the rest, so it is
-//!   **bit-identical** to it.
+//!   provably cannot hold the maximum, then runs the boxed pairwise loop
+//!   on the rest, so it is **bit-identical** to that loop.
 
 use crate::channel::DiscreteChannel;
-use crate::{validate_distribution, InfoError, Result};
+use crate::{InfoError, Result};
 use dplearn_numerics::special::{ln_positive_normal, xlogx_over_y, KahanSum};
 use std::ops::Range;
 
@@ -78,19 +71,10 @@ const EPS_BLOCK: usize = 1024;
 /// `ln(max/min)`, about 10⁶ times finer than this cut.
 const EPS_CUT: f64 = 1e-9;
 
-/// A discrete memoryless channel stored as one flat row-major buffer —
-/// the large-alphabet counterpart of [`DiscreteChannel`].
-///
-/// Row `x` occupies `kernel[x·ny .. (x+1)·ny]`. Construction validates
-/// exactly what [`DiscreteChannel::new`] validates, so every blocked
-/// method below may assume a row-stochastic kernel and a normalized
-/// input distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatChannel {
-    input: Vec<f64>,
-    kernel: Vec<f64>,
-    ny: usize,
-}
+/// The channel type under its earlier name. The repo benchmark
+/// (`benchmark/src/leakage.rs`) still names it; it goes when the
+/// benchmark next changes. Everything else uses [`DiscreteChannel`].
+pub type FlatChannel = DiscreteChannel;
 
 /// One MI cell `p(y|x)·ln(p(y|x)/p(y))` through [`ln_positive_normal`],
 /// and whether the cell needs the libm fallback: it is nonzero and its
@@ -134,17 +118,52 @@ fn lane_sum(row: &[f64], marginal: &[f64], cell: impl Fn(f64, f64) -> (f64, bool
     (s, fallback)
 }
 
-/// The MI row kernel `Σ_y p(y|x)·ln(p(y|x)/p(y))` behind both
-/// [`FlatChannel::mutual_information_blocked`] and
-/// [`FlatChannel::mutual_information_naive`]. A row with a nonzero cell
-/// whose quotient is zero, subnormal or infinite (a `p(y)` that
-/// underflowed to 0) is redone with [`xlogx_over_y`] in the same lanes,
-/// so those cells keep their libm value and `+∞`.
-fn row_information(row: &[f64], marginal: &[f64]) -> f64 {
+/// The MI row kernel `Σ_y p(y|x)·ln(p(y|x)/p(y))` behind
+/// [`DiscreteChannel::mutual_information_blocked`],
+/// [`DiscreteChannel::mutual_information_naive`] and the capacity
+/// iteration's per-row divergence. A row with a nonzero cell whose
+/// quotient is zero, subnormal or infinite (a `p(y)` that underflowed to
+/// 0) is redone with [`xlogx_over_y`] in the same lanes, so those cells
+/// keep their libm value and `+∞`.
+pub(crate) fn row_information(row: &[f64], marginal: &[f64]) -> f64 {
     match lane_sum(row, marginal, fast_cell) {
         (s, false) => s,
         _ => lane_sum(row, marginal, |pyx, py| (xlogx_over_y(pyx, py), false)).0,
     }
+}
+
+/// The output-marginal kernel over any input distribution `input` and a
+/// validated flat `kernel` of row stride `ny`, with `tile` columns per
+/// task (`tile ≥ 1`). Zero-mass inputs are skipped: they contribute exact
+/// `+0.0` terms, which leave the (never-negative) accumulators unchanged
+/// bit for bit. The capacity iteration calls it with its own input.
+// Column tiles are handed out by the parallel scheduler, bounded by `ny`.
+#[allow(clippy::indexing_slicing)]
+pub(crate) fn output_marginal_kernel(
+    input: &[f64],
+    kernel: &[f64],
+    ny: usize,
+    tile: usize,
+) -> Vec<f64> {
+    let mut out = vec![0.0; ny];
+    dplearn_parallel::par_for_each_chunk_mut_with_cost(
+        &mut out,
+        tile,
+        SCAN_CELL_COST * input.len() as u64,
+        |_chunk, start, cols| {
+            let width = cols.len();
+            for (x, &px) in input.iter().enumerate() {
+                if px == 0.0 {
+                    continue;
+                }
+                let row0 = x * ny + start;
+                for (o, &q) in cols.iter_mut().zip(&kernel[row0..row0 + width]) {
+                    *o += px * q;
+                }
+            }
+        },
+    );
+    out
 }
 
 /// Tile sizes must be positive: a zero tile would make the blocked
@@ -162,113 +181,18 @@ fn validate_tile(tile: usize) -> Result<usize> {
 // Blocked sweeps index rows/columns with offsets handed out by the
 // parallel scheduler, all bounded by the validated kernel dimensions.
 #[allow(clippy::indexing_slicing)]
-impl FlatChannel {
-    /// Build a flat channel from an input distribution and a flat
-    /// row-major kernel with row stride `ny`. Validates the input
-    /// distribution, the buffer shape, and each kernel row.
-    pub fn new(input: Vec<f64>, kernel: Vec<f64>, ny: usize) -> Result<Self> {
-        validate_distribution("channel input", &input)?;
-        if ny == 0 {
-            return Err(InfoError::InvalidParameter {
-                name: "ny",
-                reason: "output alphabet must be non-empty".to_string(),
-            });
-        }
-        if kernel.len() != input.len() * ny {
-            return Err(InfoError::InvalidParameter {
-                name: "kernel",
-                reason: format!(
-                    "expected {} cells ({} rows × {ny}), got {}",
-                    input.len() * ny,
-                    input.len(),
-                    kernel.len()
-                ),
-            });
-        }
-        for (x, row) in kernel.chunks(ny).enumerate() {
-            validate_distribution("kernel row", row).map_err(|_| InfoError::NotADistribution {
-                what: "kernel row",
-                detail: format!("row {x} is not a probability distribution"),
-            })?;
-        }
-        Ok(FlatChannel { input, kernel, ny })
-    }
-
-    /// Flatten an already-validated [`DiscreteChannel`] (no re-validation).
-    pub fn from_channel(channel: &DiscreteChannel) -> Self {
-        let ny = channel.n_outputs();
-        let mut kernel = Vec::with_capacity(channel.n_inputs() * ny);
-        for row in channel.kernel() {
-            kernel.extend_from_slice(row);
-        }
-        FlatChannel {
-            input: channel.input().to_vec(),
-            kernel,
-            ny,
-        }
-    }
-
-    /// Rebuild the boxed-row [`DiscreteChannel`] form.
-    pub fn to_channel(&self) -> Result<DiscreteChannel> {
-        DiscreteChannel::new(
-            self.input.clone(),
-            self.kernel.chunks(self.ny).map(<[f64]>::to_vec).collect(),
-        )
-    }
-
-    /// Number of channel inputs.
-    pub fn n_inputs(&self) -> usize {
-        self.input.len()
-    }
-
-    /// Number of channel outputs (the row stride).
-    pub fn n_outputs(&self) -> usize {
-        self.ny
-    }
-
-    /// Input distribution `p(x)`.
-    pub fn input(&self) -> &[f64] {
-        &self.input
-    }
-
-    /// The flat row-major kernel buffer.
-    pub fn kernel_flat(&self) -> &[f64] {
-        &self.kernel
-    }
-
-    /// Kernel row `p(·|x)`, or `None` past the input alphabet.
-    pub fn row(&self, x: usize) -> Option<&[f64]> {
-        self.kernel.get(x * self.ny..(x + 1) * self.ny)
-    }
-
+impl DiscreteChannel {
     /// Output marginal `p(y) = Σ_x p(x)·p(y|x)`, accumulated per column
     /// tile with each column's terms added in source order —
-    /// bit-identical to [`DiscreteChannel::output_marginal`] at every
-    /// tile size and thread count. Zero-mass inputs are skipped: they
-    /// contribute exact `+0.0` terms, which leave the (never-negative)
-    /// accumulators unchanged bit for bit.
+    /// bit-identical to the boxed-row loop at every tile size and thread
+    /// count.
     pub fn output_marginal_blocked(&self, tile: usize) -> Result<Vec<f64>> {
-        let tile = validate_tile(tile)?;
-        let (input, kernel, ny) = (&self.input, &self.kernel, self.ny);
-        let mut out = vec![0.0; ny];
-        dplearn_parallel::par_for_each_chunk_mut_with_cost(
-            &mut out,
-            tile,
-            SCAN_CELL_COST * input.len() as u64,
-            |_chunk, start, cols| {
-                let width = cols.len();
-                for (x, &px) in input.iter().enumerate() {
-                    if px == 0.0 {
-                        continue;
-                    }
-                    let row0 = x * ny + start;
-                    for (o, &q) in cols.iter_mut().zip(&kernel[row0..row0 + width]) {
-                        *o += px * q;
-                    }
-                }
-            },
-        );
-        Ok(out)
+        Ok(output_marginal_kernel(
+            self.input(),
+            self.kernel_flat(),
+            self.n_outputs(),
+            validate_tile(tile)?,
+        ))
     }
 
     /// Mutual information `I(X;Y)` in nats, blocked over row tiles.
@@ -280,14 +204,14 @@ impl FlatChannel {
     /// compensation. The fold structure never depends on the tile
     /// grouping or the worker count, so the result is bit-identical
     /// across both — pinned against
-    /// [`FlatChannel::mutual_information_naive`] in
+    /// [`DiscreteChannel::mutual_information_naive`] in
     /// `tests/determinism.rs`. Agreement with the one-libm-`ln`-per-cell
-    /// fold and with [`DiscreteChannel::mutual_information`] (a different
-    /// association) is to 1e-12 relative, checked separately.
+    /// fold and with the boxed-row fold (a different association) is to
+    /// 1e-12 relative, checked in the unit tests.
     pub fn mutual_information_blocked(&self, tile: usize) -> Result<f64> {
         let tile = validate_tile(tile)?;
         let marginal = self.output_marginal_blocked(tile)?;
-        let (input, kernel, ny) = (&self.input, &self.kernel, self.ny);
+        let (input, kernel, ny) = (self.input(), self.kernel_flat(), self.n_outputs());
         let mut row_sums = vec![0.0; input.len()];
         {
             let marginal = &marginal;
@@ -312,8 +236,7 @@ impl FlatChannel {
         for &v in &row_sums {
             acc.add(v);
         }
-        // Clamp away −0.0 / tiny negative rounding, as the boxed-row
-        // path does.
+        // Clamp away −0.0 / tiny negative rounding.
         Ok(acc.value().max(0.0))
     }
 
@@ -322,33 +245,35 @@ impl FlatChannel {
     /// no parallel dispatch. The blocked sweep is pinned bit-identical to
     /// this at every tile size and thread count.
     ///
-    /// [`mutual_information_blocked`]: FlatChannel::mutual_information_blocked
+    /// [`mutual_information_blocked`]: DiscreteChannel::mutual_information_blocked
     pub fn mutual_information_naive(&self) -> f64 {
-        let mut marginal = vec![0.0; self.ny];
-        for (x, &px) in self.input.iter().enumerate() {
+        let (input, kernel, ny) = (self.input(), self.kernel_flat(), self.n_outputs());
+        let mut marginal = vec![0.0; ny];
+        for (x, &px) in input.iter().enumerate() {
             if px == 0.0 {
                 continue;
             }
-            let row = &self.kernel[x * self.ny..(x + 1) * self.ny];
+            let row = &kernel[x * ny..(x + 1) * ny];
             for (o, &q) in marginal.iter_mut().zip(row) {
                 *o += px * q;
             }
         }
         let mut acc = KahanSum::new();
-        for (x, &px) in self.input.iter().enumerate() {
+        for (x, &px) in input.iter().enumerate() {
             if px == 0.0 {
                 continue;
             }
-            let row = &self.kernel[x * self.ny..(x + 1) * self.ny];
+            let row = &kernel[x * ny..(x + 1) * ny];
             acc.add(px * row_information(row, &marginal));
         }
         acc.value().max(0.0)
     }
 
-    /// Prior (one-guess) vulnerability `V(X) = max_x p(x)` — same fold
-    /// as [`crate::leakage::prior_vulnerability`].
+    /// Prior (one-guess) vulnerability `V(X) = max_x p(x)`: the success
+    /// of an adversary who guesses the input without seeing the output
+    /// (Alvim et al., refs [1, 2] of the paper).
     pub fn prior_vulnerability(&self) -> f64 {
-        self.input.iter().copied().fold(0.0, f64::max)
+        self.input().iter().copied().fold(0.0, f64::max)
     }
 
     /// Posterior vulnerability `V(X|Y) = Σ_y max_x p(x)·p(y|x)`, blocked
@@ -360,14 +285,13 @@ impl FlatChannel {
     /// order; the per-column bests are then summed in output order
     /// (plain accumulation, matching the reference). Maxima are exact
     /// under any association and every product is `≥ 0.0`, so the result
-    /// is **bit-identical** to
-    /// [`crate::leakage::posterior_vulnerability`] at every tile size
+    /// is **bit-identical** to the boxed column scan at every tile size
     /// and thread count.
     pub fn posterior_vulnerability_blocked(&self, tile: usize) -> Result<f64> {
         // A tile past the last column is one tile; clamping keeps the
         // cost product below from overflowing.
-        let tile = validate_tile(tile)?.min(self.ny);
-        let (input, kernel, ny) = (&self.input, &self.kernel, self.ny);
+        let (input, kernel, ny) = (self.input(), self.kernel_flat(), self.n_outputs());
+        let tile = validate_tile(tile)?.min(ny);
         let n_tiles = ny.div_ceil(tile);
         let total = dplearn_parallel::par_map_reduce_with_cost(
             n_tiles,
@@ -392,15 +316,13 @@ impl FlatChannel {
         Ok(total)
     }
 
-    /// Min-entropy leakage in bits, blocked — bit-identical to
-    /// [`crate::leakage::min_entropy_leakage_bits`] (the vulnerabilities
-    /// are, and the final expression is the same).
+    /// Min-entropy leakage in bits, blocked: `log₂ (V(X|Y)/V(X))` from
+    /// the two vulnerability kernels.
     pub fn min_entropy_leakage_bits_blocked(&self, tile: usize) -> Result<f64> {
         Ok((self.posterior_vulnerability_blocked(tile)? / self.prior_vulnerability()).log2())
     }
 
-    /// Multiplicative Bayes leakage `V(X|Y)/V(X)`, blocked —
-    /// bit-identical to [`crate::leakage::multiplicative_bayes_leakage`].
+    /// Multiplicative Bayes leakage `V(X|Y)/V(X)`, blocked.
     pub fn multiplicative_bayes_leakage_blocked(&self, tile: usize) -> Result<f64> {
         Ok(self.posterior_vulnerability_blocked(tile)? / self.prior_vulnerability())
     }
@@ -408,8 +330,8 @@ impl FlatChannel {
     /// The worst log-ratio between any two kernel rows — the
     /// `dp_bounds`-adjacent scan: for a learning channel over
     /// neighboring datasets this is the mechanism's exact ε.
-    /// Bit-identical to [`DiscreteChannel::max_row_log_ratio`] at every
-    /// tile size and thread count, computed in two passes:
+    /// Bit-identical to the boxed pairwise loop at every tile size and
+    /// thread count, computed in two passes:
     ///
     /// 1. **Bound pass.** One sweep over the kernel in fixed 1024-column
     ///    blocks takes each column's max and min over all rows. A column
@@ -436,9 +358,9 @@ impl FlatChannel {
     /// one read of the kernel instead of a division and a logarithm per
     /// row pair and column.
     pub fn max_row_log_ratio_blocked(&self, tile: usize) -> Result<f64> {
-        let nx = self.input.len();
+        let nx = self.n_inputs();
         let tile = validate_tile(tile)?.min(nx);
-        let (kernel, ny) = (&self.kernel, self.ny);
+        let (kernel, ny) = (self.kernel_flat(), self.n_outputs());
         let survivors = dplearn_parallel::par_map_reduce_with_cost(
             ny.div_ceil(EPS_BLOCK),
             SCAN_CELL_COST.saturating_mul((EPS_BLOCK as u64).saturating_mul(nx as u64)),
@@ -490,7 +412,7 @@ impl FlatChannel {
     /// surviving column runs in order, or `None` when a column mixes
     /// zero and nonzero cells (ε = ∞).
     fn eps_block_survivors(&self, block: usize) -> Option<Vec<Range<usize>>> {
-        let (kernel, ny) = (&self.kernel, self.ny);
+        let (kernel, ny) = (self.kernel_flat(), self.n_outputs());
         let start = block * EPS_BLOCK;
         let cols = start..start + EPS_BLOCK.min(ny - start);
         let mut hi = kernel[cols.clone()].to_vec();
@@ -536,16 +458,15 @@ impl FlatChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::leakage;
     use dplearn_numerics::rng::{Rng, Xoshiro256};
 
     /// Tiles from one cell to far past any dimension. `1 << 63` and
     /// `usize::MAX` overflow an unclamped cost hint or chunk product.
     const HUGE_AND_SMALL_TILES: [usize; 6] = [1, 7, 64, 4096, 1 << 63, usize::MAX];
 
-    /// A deterministic dense test channel with a few zero kernel cells
-    /// and one zero-mass input symbol.
-    fn test_channel(nx: usize, ny: usize, seed: u64) -> DiscreteChannel {
+    /// The rows of a deterministic dense test channel with a few zero
+    /// kernel cells and one zero-mass input symbol.
+    fn test_rows(nx: usize, ny: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
         let mut rng = Xoshiro256::seed_from(seed);
         let mut input: Vec<f64> = (0..nx).map(|_| rng.next_open_f64()).collect();
         input[nx / 2] = 0.0;
@@ -574,25 +495,94 @@ mod tests {
                 row
             })
             .collect();
-        DiscreteChannel::new(input, kernel).unwrap()
+        (input, kernel)
+    }
+
+    fn test_channel(nx: usize, ny: usize, seed: u64) -> DiscreteChannel {
+        let (input, rows) = test_rows(nx, ny, seed);
+        DiscreteChannel::from_rows(input, rows).unwrap()
+    }
+
+    // The boxed-row loops the kernels replaced, kept as independent
+    // oracles: one `Vec` per row, serial folds, no tiling.
+
+    fn boxed_marginal(input: &[f64], rows: &[Vec<f64>]) -> Vec<f64> {
+        let mut out = vec![0.0; rows[0].len()];
+        for (&px, row) in input.iter().zip(rows) {
+            for (o, &pyx) in out.iter_mut().zip(row) {
+                *o += px * pyx;
+            }
+        }
+        out
+    }
+
+    /// One `xlogx_over_y` per cell into one global accumulator.
+    fn boxed_mutual_information(input: &[f64], rows: &[Vec<f64>]) -> f64 {
+        let marginal = boxed_marginal(input, rows);
+        let mut mi = 0.0;
+        for (&px, row) in input.iter().zip(rows) {
+            if px == 0.0 {
+                continue;
+            }
+            for (&pyx, &py) in row.iter().zip(&marginal) {
+                mi += px * xlogx_over_y(pyx, py);
+            }
+        }
+        mi.max(0.0)
+    }
+
+    fn boxed_prior_vulnerability(input: &[f64]) -> f64 {
+        input.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Column-major: one row pointer chase per row per output symbol.
+    fn boxed_posterior_vulnerability(input: &[f64], rows: &[Vec<f64>]) -> f64 {
+        let mut total = 0.0;
+        for y in 0..rows[0].len() {
+            let mut best = 0.0f64;
+            for (&px, row) in input.iter().zip(rows) {
+                best = best.max(px * row[y]);
+            }
+            total += best;
+        }
+        total
+    }
+
+    /// Every row pair, every column: `|ln(a/b)|`.
+    fn boxed_max_row_log_ratio(rows: &[Vec<f64>]) -> f64 {
+        let mut worst = 0.0f64;
+        for (i, row_i) in rows.iter().enumerate() {
+            for row_j in rows.iter().skip(i + 1) {
+                for (&a, &b) in row_i.iter().zip(row_j) {
+                    if a == 0.0 && b == 0.0 {
+                        continue;
+                    }
+                    if a == 0.0 || b == 0.0 {
+                        return f64::INFINITY;
+                    }
+                    worst = worst.max((a / b).ln().abs());
+                }
+            }
+        }
+        worst
     }
 
     #[test]
     fn construction_validates() {
-        assert!(FlatChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.5, 0.5], 2).is_ok());
+        assert!(DiscreteChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.5, 0.5], 2).is_ok());
         // Wrong buffer size.
-        assert!(FlatChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.5], 2).is_err());
+        assert!(DiscreteChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.5], 2).is_err());
         // Zero-width rows.
-        assert!(FlatChannel::new(vec![1.0], vec![], 0).is_err());
+        assert!(DiscreteChannel::new(vec![1.0], vec![], 0).is_err());
         // A non-stochastic row.
-        assert!(FlatChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.9, 0.2], 2).is_err());
+        assert!(DiscreteChannel::new(vec![0.5, 0.5], vec![0.5, 0.5, 0.9, 0.2], 2).is_err());
         // A bad input distribution.
-        assert!(FlatChannel::new(vec![0.5, 0.6], vec![0.5, 0.5, 0.5, 0.5], 2).is_err());
+        assert!(DiscreteChannel::new(vec![0.5, 0.6], vec![0.5, 0.5, 0.5, 0.5], 2).is_err());
     }
 
     #[test]
     fn zero_tile_is_a_typed_error() {
-        let f = FlatChannel::from_channel(&test_channel(5, 7, 11));
+        let f = test_channel(5, 7, 11);
         assert!(matches!(
             f.output_marginal_blocked(0),
             Err(InfoError::InvalidParameter { name: "tile", .. })
@@ -604,21 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_discrete_channel() {
-        let c = test_channel(6, 9, 3);
-        let f = FlatChannel::from_channel(&c);
-        assert_eq!(f.n_inputs(), 6);
-        assert_eq!(f.n_outputs(), 9);
-        assert_eq!(f.row(2).unwrap(), c.kernel()[2].as_slice());
-        assert!(f.row(6).is_none());
-        assert_eq!(f.to_channel().unwrap(), c);
-    }
-
-    #[test]
     fn blocked_marginal_is_bit_identical_to_boxed_rows_at_any_tile() {
-        let c = test_channel(13, 17, 5);
-        let f = FlatChannel::from_channel(&c);
-        let want: Vec<u64> = c.output_marginal().iter().map(|v| v.to_bits()).collect();
+        let (input, rows) = test_rows(13, 17, 5);
+        let f = DiscreteChannel::from_rows(input.clone(), rows.clone()).unwrap();
+        let want: Vec<u64> = boxed_marginal(&input, &rows)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         for tile in HUGE_AND_SMALL_TILES {
             let got: Vec<u64> = f
                 .output_marginal_blocked(tile)
@@ -632,15 +614,13 @@ mod tests {
 
     #[test]
     fn blocked_vulnerability_and_leakage_are_bit_identical_to_reference() {
-        let c = test_channel(13, 17, 7);
-        let f = FlatChannel::from_channel(&c);
-        let want_post = leakage::posterior_vulnerability(&c);
-        let want_leak = leakage::min_entropy_leakage_bits(&c);
-        let want_mult = leakage::multiplicative_bayes_leakage(&c);
-        assert_eq!(
-            f.prior_vulnerability().to_bits(),
-            leakage::prior_vulnerability(&c).to_bits()
-        );
+        let (input, rows) = test_rows(13, 17, 7);
+        let f = DiscreteChannel::from_rows(input.clone(), rows.clone()).unwrap();
+        let want_prior = boxed_prior_vulnerability(&input);
+        let want_post = boxed_posterior_vulnerability(&input, &rows);
+        let want_leak = (want_post / want_prior).log2();
+        let want_mult = want_post / want_prior;
+        assert_eq!(f.prior_vulnerability().to_bits(), want_prior.to_bits());
         for tile in HUGE_AND_SMALL_TILES {
             assert_eq!(
                 f.posterior_vulnerability_blocked(tile).unwrap().to_bits(),
@@ -662,10 +642,11 @@ mod tests {
 
     #[test]
     fn blocked_mi_is_tile_invariant_and_matches_its_naive_reference() {
-        let c = test_channel(13, 17, 9);
-        let want = assert_mi_pinned(&FlatChannel::from_channel(&c));
+        let (input, rows) = test_rows(13, 17, 9);
+        let want =
+            assert_mi_pinned(&DiscreteChannel::from_rows(input.clone(), rows.clone()).unwrap());
         // Against the boxed-row association: rounding-level agreement.
-        let boxed = c.mutual_information();
+        let boxed = boxed_mutual_information(&input, &rows);
         assert!(
             (want - boxed).abs() <= 1e-12 * boxed.abs().max(1.0),
             "blocked {want} vs boxed {boxed}"
@@ -673,9 +654,9 @@ mod tests {
     }
 
     /// The output marginal in source order, as every MI path builds it.
-    fn serial_marginal(f: &FlatChannel) -> Vec<f64> {
-        let mut marginal = vec![0.0; f.ny];
-        for (&px, row) in f.input.iter().zip(f.kernel.chunks(f.ny)) {
+    fn serial_marginal(f: &DiscreteChannel) -> Vec<f64> {
+        let mut marginal = vec![0.0; f.n_outputs()];
+        for (&px, row) in f.input().iter().zip(f.rows()) {
             if px != 0.0 {
                 for (o, &q) in marginal.iter_mut().zip(row) {
                     *o += px * q;
@@ -687,10 +668,10 @@ mod tests {
 
     /// Rows with mass, weighted `p(x)·row_sum(row)`, Kahan-folded in
     /// input order and clamped at 0.
-    fn fold_rows(f: &FlatChannel, row_sum: impl Fn(&[f64], &[f64]) -> f64) -> f64 {
+    fn fold_rows(f: &DiscreteChannel, row_sum: impl Fn(&[f64], &[f64]) -> f64) -> f64 {
         let marginal = serial_marginal(f);
         let mut acc = KahanSum::new();
-        for (&px, row) in f.input.iter().zip(f.kernel.chunks(f.ny)) {
+        for (&px, row) in f.input().iter().zip(f.rows()) {
             if px != 0.0 {
                 acc.add(px * row_sum(row, &marginal));
             }
@@ -700,7 +681,7 @@ mod tests {
 
     /// The libm oracle: one `xlogx_over_y` per cell, each row summed
     /// left to right.
-    fn libm_oracle(f: &FlatChannel) -> f64 {
+    fn libm_oracle(f: &DiscreteChannel) -> f64 {
         fold_rows(f, |row, marginal| {
             row.iter()
                 .zip(marginal)
@@ -742,9 +723,9 @@ mod tests {
 
     /// Blocked MI at every tile, the serial replica and the lane replica
     /// agree to the bit; all are within 1e-12 relative of the oracle.
-    fn assert_mi_pinned(f: &FlatChannel) -> f64 {
+    fn assert_mi_pinned(f: &DiscreteChannel) -> f64 {
         let marginal = serial_marginal(f);
-        for (x, row) in f.kernel.chunks(f.ny).enumerate() {
+        for (x, row) in f.rows().enumerate() {
             let (got, want) = (
                 row_information(row, &marginal),
                 lane_replica_row(row, &marginal),
@@ -769,9 +750,62 @@ mod tests {
     fn blocked_mi_matches_the_libm_oracle_across_lane_tails() {
         // Each test channel has ~10% zero cells and one zero-mass input.
         for (i, ny) in [1usize, 2, 3, 5, 17, 4099].into_iter().enumerate() {
-            let f = FlatChannel::from_channel(&test_channel(64, ny, 40 + i as u64));
+            let f = test_channel(64, ny, 40 + i as u64);
             let mi = assert_mi_pinned(&f);
             assert!(mi.is_finite() && mi >= 0.0, "ny={ny}: {mi}");
+        }
+    }
+
+    #[test]
+    fn tile_free_methods_equal_their_blocked_forms_bit_for_bit() {
+        // The lane-tail channels, with their zero cells, and the same
+        // rows lifted off zero so the realized-ε scan reaches its exact
+        // pass.
+        for (i, ny) in [1usize, 2, 3, 5, 17, 4099].into_iter().enumerate() {
+            let (input, rows) = test_rows(64, ny, 40 + i as u64);
+            let lifted: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|row| {
+                    let t = 1.0 + 0.01 * ny as f64;
+                    row.iter().map(|&v| (v + 0.01) / t).collect()
+                })
+                .collect();
+            for rows in [rows, lifted] {
+                let c = DiscreteChannel::from_rows(input.clone(), rows).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                for tile in HUGE_AND_SMALL_TILES {
+                    let at = format!("ny={ny} tile={tile}");
+                    assert_eq!(
+                        bits(&c.output_marginal()),
+                        bits(&c.output_marginal_blocked(tile).unwrap()),
+                        "{at}"
+                    );
+                    for (got, want) in [
+                        (
+                            c.mutual_information(),
+                            c.mutual_information_blocked(tile).unwrap(),
+                        ),
+                        (
+                            c.max_row_log_ratio(),
+                            c.max_row_log_ratio_blocked(tile).unwrap(),
+                        ),
+                        (
+                            c.posterior_vulnerability(),
+                            c.posterior_vulnerability_blocked(tile).unwrap(),
+                        ),
+                        (
+                            c.min_entropy_leakage_bits(),
+                            c.min_entropy_leakage_bits_blocked(tile).unwrap(),
+                        ),
+                        (
+                            c.multiplicative_bayes_leakage(),
+                            c.multiplicative_bayes_leakage_blocked(tile).unwrap(),
+                        ),
+                    ] {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                    }
+                }
+            }
         }
     }
 
@@ -785,7 +819,7 @@ mod tests {
             0.3, 0.3, 0.2, 0.2, tiny, //
             0.2, 0.2, 0.2, 0.2, 0.2,
         ];
-        let f = FlatChannel::new(vec![0.25, 0.25, 0.5], kernel, 5).unwrap();
+        let f = DiscreteChannel::new(vec![0.25, 0.25, 0.5], kernel, 5).unwrap();
         let marginal = serial_marginal(&f);
         for (x, fallback) in [(0, true), (1, true), (2, false)] {
             let row = f.row(x).unwrap();
@@ -803,7 +837,7 @@ mod tests {
     fn an_underflowed_marginal_keeps_mi_infinite() {
         // p(y=1) = 1e-200·1e-200 underflows to 0 while p(y=1|x=1) > 0:
         // the quotient is +∞ and the MI stays +∞, as with libm.
-        let f = FlatChannel::new(vec![1.0, 1e-200], vec![1.0, 0.0, 1.0, 1e-200], 2).unwrap();
+        let f = DiscreteChannel::new(vec![1.0, 1e-200], vec![1.0, 0.0, 1.0, 1e-200], 2).unwrap();
         assert_eq!(serial_marginal(&f)[1], 0.0);
         assert_eq!(f.mutual_information_naive(), f64::INFINITY);
         for tile in HUGE_AND_SMALL_TILES {
@@ -816,20 +850,20 @@ mod tests {
     fn blocked_mi_known_values() {
         // BSC with crossover 0.1, uniform input: I = ln2 − H(0.1).
         let p = 0.1f64;
-        let f = FlatChannel::new(vec![0.5, 0.5], vec![1.0 - p, p, p, 1.0 - p], 2).unwrap();
+        let f = DiscreteChannel::new(vec![0.5, 0.5], vec![1.0 - p, p, p, 1.0 - p], 2).unwrap();
         let want = std::f64::consts::LN_2 - dplearn_numerics::special::binary_entropy(p);
         let got = f.mutual_information_blocked(64).unwrap();
         assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         // A useless channel clamps to exactly zero.
-        let useless = FlatChannel::new(vec![0.3, 0.7], vec![0.5, 0.5, 0.5, 0.5], 2).unwrap();
+        let useless = DiscreteChannel::new(vec![0.3, 0.7], vec![0.5, 0.5, 0.5, 0.5], 2).unwrap();
         assert_eq!(useless.mutual_information_blocked(1).unwrap(), 0.0);
     }
 
     #[test]
     fn blocked_row_ratio_matches_boxed_rows() {
-        let c = test_channel(9, 6, 13);
-        let f = FlatChannel::from_channel(&c);
-        let want = c.max_row_log_ratio();
+        let (_, rows) = test_rows(9, 6, 13);
+        let f = test_channel(9, 6, 13);
+        let want = boxed_max_row_log_ratio(&rows);
         for tile in HUGE_AND_SMALL_TILES {
             assert_eq!(
                 f.max_row_log_ratio_blocked(tile).unwrap().to_bits(),
@@ -838,14 +872,13 @@ mod tests {
         }
         // Structural zeros in one row but not another force ε = ∞ in
         // both implementations.
-        let inf = FlatChannel::new(vec![0.5, 0.5], vec![1.0, 0.0, 0.5, 0.5], 2).unwrap();
+        let inf = DiscreteChannel::new(vec![0.5, 0.5], vec![1.0, 0.0, 0.5, 0.5], 2).unwrap();
         assert_eq!(inf.max_row_log_ratio_blocked(1).unwrap(), f64::INFINITY);
     }
 
     #[test]
     fn blocked_sweeps_are_thread_count_invariant() {
-        let c = test_channel(37, 41, 17);
-        let f = FlatChannel::from_channel(&c);
+        let f = test_channel(37, 41, 17);
         let run = || {
             (
                 f.output_marginal_blocked(8)

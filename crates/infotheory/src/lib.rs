@@ -9,19 +9,19 @@
 //!
 //! * [`entropy`] — Shannon entropies over finite alphabets,
 //! * [`channel`] — discrete memoryless channels with exact joint /
-//!   marginal / mutual-information computation (the Figure 1 object),
+//!   marginal / mutual-information computation and min-entropy leakage
+//!   (the Figure 1 object, and the Alvim et al. connection the paper
+//!   cites),
 //! * [`mutual_information`] — exact MI plus plug-in estimation from
 //!   samples with Miller–Madow bias correction,
 //! * [`blahut_arimoto`] — the rate–distortion fixed point, whose inner
 //!   update *is* the Gibbs kernel (an independent algorithmic witness of
 //!   the paper's Theorem 4.2),
-//! * [`leakage`] — min-entropy leakage (the Alvim et al. connection the
-//!   paper cites),
 //! * [`dp_bounds`] — information-theoretic consequences of ε-DP
 //!   (`I(Ẑ;θ) ≤ n·ε` nats, and the tighter Cuff–Yu per-record charge
 //!   `ε·tanh(ε/2)`),
-//! * [`flat`] — cache-blocked, tile-parallel kernels over a flat
-//!   row-major channel for 10⁴+-symbol alphabets,
+//! * [`flat`] — the cache-blocked, tile-parallel kernel behind each
+//!   channel quantity, for alphabets up to 10⁴+ symbols,
 //! * [`mi_accounting`] — the [`MiAccountant`](mi_accounting::MiAccountant)
 //!   running MI-charge track the engine reports alongside ε composition,
 //! * [`fano`] — Fano-type lower bounds: small `I(Ẑ;θ)` *forces*
@@ -45,7 +45,6 @@ pub mod dp_bounds;
 pub mod entropy;
 pub mod fano;
 pub mod flat;
-pub mod leakage;
 pub mod mi_accounting;
 pub mod mutual_information;
 

@@ -4,7 +4,6 @@ use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, lagrangian};
 use dplearn_infotheory::channel::DiscreteChannel;
 use dplearn_infotheory::entropy::{cross_entropy, entropy};
 use dplearn_infotheory::fano::fano_error_lower_bound;
-use dplearn_infotheory::leakage::{min_entropy_leakage_bits, multiplicative_bayes_leakage};
 use dplearn_infotheory::mutual_information::mi_from_joint;
 use proptest::prelude::*;
 
@@ -16,7 +15,7 @@ fn normalize(raw: &[f64]) -> Vec<f64> {
 fn random_channel(input_raw: &[f64], kernel_raw: &[Vec<f64>]) -> DiscreteChannel {
     let input = normalize(input_raw);
     let kernel: Vec<Vec<f64>> = kernel_raw.iter().map(|r| normalize(r)).collect();
-    DiscreteChannel::new(input, kernel).unwrap()
+    DiscreteChannel::from_rows(input, kernel).unwrap()
 }
 
 fn channel_strategy(nx: usize, ny: usize) -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>)> {
@@ -64,15 +63,15 @@ proptest! {
     #[test]
     fn leakage_bounds((input, kernel) in channel_strategy(4, 4)) {
         let c = random_channel(&input, &kernel);
-        let l = min_entropy_leakage_bits(&c);
+        let l = c.min_entropy_leakage_bits();
         prop_assert!(l >= -1e-9);
         prop_assert!(l <= 2.0 + 1e-9); // log₂ 4
-        prop_assert!(multiplicative_bayes_leakage(&c) >= 1.0 - 1e-9);
+        prop_assert!(c.multiplicative_bayes_leakage() >= 1.0 - 1e-9);
         // Alvim-style cap: multiplicative leakage ≤ e^ε with ε the
         // realized worst row ratio.
         let eps = c.max_row_log_ratio();
         if eps.is_finite() {
-            prop_assert!(multiplicative_bayes_leakage(&c) <= eps.exp() + 1e-9);
+            prop_assert!(c.multiplicative_bayes_leakage() <= eps.exp() + 1e-9);
         }
     }
 

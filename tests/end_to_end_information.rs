@@ -81,8 +81,7 @@ fn sampled_mi_matches_exact_channel_mi() {
     let input = Categorical::new(lc.channel.input()).unwrap();
     let rows: Vec<Categorical> = lc
         .channel
-        .kernel()
-        .iter()
+        .rows()
         .map(|r| Categorical::new(r).unwrap())
         .collect();
     let pairs: Vec<(usize, usize)> = (0..400_000)

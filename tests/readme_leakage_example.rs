@@ -3,7 +3,7 @@
 //! update the README.
 
 use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_tiled, BaTileOptions};
-use dplearn::infotheory::flat::FlatChannel;
+use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::mi_accounting::MiAccountant;
 use dplearn::DplearnError;
 
@@ -21,7 +21,7 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
         let z: f64 = logits.iter().map(|l| l.exp()).sum();
         kernel.extend(logits.iter().map(|l| l.exp() / z));
     }
-    let ch = FlatChannel::new(input, kernel, ny)?;
+    let ch = DiscreteChannel::new(input, kernel, ny)?;
 
     // Blocked kernels: bit-identical to the naive passes at every tile
     // size and worker count — tiling is a layout decision, never a
@@ -30,6 +30,8 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
     let leak_bits = ch.min_entropy_leakage_bits_blocked(256)?;
     let eps = ch.max_row_log_ratio_blocked(256)?; // the channel's realized ε
     assert!(leak_bits >= 0.0);
+    // The tile-free methods run the same kernels at a fixed tile.
+    assert_eq!(ch.mutual_information().to_bits(), mi.to_bits());
 
     // The running Cuff–Yu MI track: ε·tanh(ε/2) nats per ε-DP query,
     // additive across queries, always below the linear Σε conversion.
@@ -40,8 +42,8 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
     assert!(mi <= track.per_record_nats());
     assert!(track.per_record_nats() < eps);
 
-    // Tiled Blahut–Arimoto: same bits as the reference solver, with
-    // zero-mass pruning and exact frozen-row early exit on top.
+    // Tiled Blahut–Arimoto: explicit tile geometry, same bits as the
+    // reference solver.
     let source = vec![0.25; 4];
     let distortion: Vec<Vec<f64>> = (0..4)
         .map(|x| (0..4).map(|y| f64::from(u8::from(x != y))).collect())

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dplearn::information::{learning_channel, DatasetSpace};
-use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions};
 use dplearn::learning::hypothesis::FiniteClass;
 use dplearn::learning::loss::ZeroOne;
 use dplearn::learning::synth::DiscreteWorld;
@@ -12,6 +12,7 @@ use dplearn::pacbayes::bounds::{catoni_bound, maurer_bound, mcallester_bound};
 use dplearn::pacbayes::gibbs::gibbs_finite;
 use dplearn::pacbayes::kl::kl_finite;
 use dplearn::pacbayes::posterior::FinitePosterior;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 
 fn bench_bounds(c: &mut Criterion) {
@@ -65,8 +66,11 @@ fn bench_channel(c: &mut Criterion) {
             b.iter(|| black_box(lc.channel.mutual_information()))
         });
         group.bench_with_input(BenchmarkId::new("blahut_arimoto_8^n", n), &n, |b, _| {
+            let opts = BaOptions::new(1e-10, 100_000);
             b.iter(|| {
-                black_box(blahut_arimoto(&space.probs, &lc.risks, 3.0, 1e-10, 100_000).unwrap())
+                black_box(
+                    blahut_arimoto(&space.probs, &lc.risks, 3.0, &opts, &NoopRecorder).unwrap(),
+                )
             })
         });
     }

@@ -42,12 +42,13 @@
 use dplearn::engine::dataset::Dataset;
 use dplearn::engine::engine::{Engine, EngineConfig};
 use dplearn::engine::request::{QueryKind, QueryRequest, SelectStrategy};
-use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions};
 use dplearn::mechanisms::exponential::ExponentialMechanism;
 use dplearn::mechanisms::privacy::Budget;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
 use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn::pacbayes::posterior::DiagGaussian;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -300,7 +301,7 @@ fn uncached_ba(
         let mut gibbs = vec![vec![0.0; ny]; nx];
         // The solver's serial-cutover cost hints (≈ 8 ns per `A` cell,
         // ≈ 1 ns per column-pass cell), so both sides parallelize alike.
-        dplearn::parallel::par_for_each_chunk_mut_with_cost(
+        dplearn::parallel::par_for_each_chunk_mut(
             &mut gibbs,
             row_chunk,
             8 * ny as u64,
@@ -329,7 +330,7 @@ fn uncached_ba(
         let mut new_r = vec![0.0; ny];
         {
             let (gibbs, r) = (&gibbs, &r);
-            dplearn::parallel::par_for_each_chunk_mut_with_cost(
+            dplearn::parallel::par_for_each_chunk_mut(
                 &mut new_r,
                 col_chunk,
                 nx as u64,
@@ -385,10 +386,10 @@ fn bench_dispatch(reps: usize) -> (f64, f64) {
     let chunks = workers.max(2);
     // Warm the pool so worker-thread creation is not billed to the
     // steady-state sections.
-    black_box(dplearn::parallel::par_map_indexed(chunks, |k| k));
+    black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
     let pool = median_secs(reps, || {
         for _ in 0..SECTIONS {
-            black_box(dplearn::parallel::par_map_indexed(chunks, |k| k));
+            black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
         }
     });
     let spawn = median_secs(reps, || {
@@ -411,7 +412,8 @@ fn bench_ba(n: usize, reps: usize) -> (f64, f64, usize) {
     let tol = 1e-6;
     let max_iters = 50_000;
 
-    let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+    let opts = BaOptions::new(tol, max_iters);
+    let rd = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
     let (naive_kernel, naive_iters) = uncached_ba(&source, &distortion, beta, tol, max_iters);
     assert_eq!(rd.iterations, naive_iters, "iteration counts must match");
     for (a, b) in rd.channel.rows().zip(&naive_kernel) {
@@ -424,7 +426,7 @@ fn bench_ba(n: usize, reps: usize) -> (f64, f64, usize) {
         black_box(uncached_ba(&source, &distortion, beta, tol, max_iters));
     });
     let cached = median_secs(reps, || {
-        black_box(blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap());
+        black_box(blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap());
     });
     (uncached, cached, naive_iters)
 }

@@ -38,9 +38,10 @@
 //! Not a criterion harness: the run *is* the measurement, so CI can
 //! treat it as a smoke test and scrape the JSON.
 
-use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, RateDistortion};
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, RateDistortion};
 use dplearn::infotheory::InfoError;
 use dplearn::numerics::special::{log_sum_exp, softmax_in_place, xlogx_over_y};
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -88,10 +89,10 @@ fn bench_dispatch(reps: usize) -> (f64, f64) {
     let chunks = workers.max(2);
     // Warm the pool so worker-thread creation is not billed to the
     // steady-state sections.
-    black_box(dplearn::parallel::par_map_indexed(chunks, |k| k));
+    black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
     let pool = median_secs(reps, || {
         for _ in 0..SECTIONS {
-            black_box(dplearn::parallel::par_map_indexed(chunks, |k| k));
+            black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
         }
     });
     let spawn = median_secs(reps, || {
@@ -200,8 +201,15 @@ fn run_fixed_iters(result: Result<RateDistortion, InfoError>) {
 fn bench_ba(n: usize, iters: usize, reps: usize) -> f64 {
     let (source, distortion) = ba_problem(n);
     let beta = 8.0;
+    let opts = BaOptions::new(0.0, iters);
     median_secs(reps, || {
-        run_fixed_iters(blahut_arimoto(&source, &distortion, beta, 0.0, iters));
+        run_fixed_iters(blahut_arimoto(
+            &source,
+            &distortion,
+            beta,
+            &opts,
+            &NoopRecorder,
+        ));
     })
 }
 

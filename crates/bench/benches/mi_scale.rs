@@ -6,8 +6,8 @@
 //!
 //! * `blahut_arimoto` — fixed-iteration solves (`tol = 0` runs exactly
 //!   `iters` iterations, so the work is identical at every thread
-//!   count): `blahut_arimoto` (`naive_seconds`) vs
-//!   `blahut_arimoto_tiled` with default options. Both run the same
+//!   count): `blahut_arimoto` with `BaOptions::new` (`naive_seconds`)
+//!   vs the same with the default tiles spelled out. Both run the same
 //!   kernel, so the two columns differ only by noise.
 //! * `mutual_information` — exact MI of a dense structured channel: the
 //!   boxed-row fold (naive Vec-of-Vec row pass, one libm `ln` per cell)
@@ -43,12 +43,13 @@
 //! treat it as a smoke test and scrape the JSON.
 
 use dplearn::infotheory::blahut_arimoto::{
-    blahut_arimoto, blahut_arimoto_tiled, BaTileOptions, RateDistortion,
+    blahut_arimoto, BaOptions, BaTileOptions, RateDistortion,
 };
 use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::InfoError;
 use dplearn::numerics::rng::{Rng, Xoshiro256};
 use dplearn::numerics::special::{softmax_in_place, xlogx_over_y};
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -252,23 +253,32 @@ fn main() {
             };
             let (source, distortion) = ba_problem(n);
             let beta = 8.0;
+            let plain = BaOptions::new(0.0, iters);
             let naive = (n <= naive_cap).then(|| {
                 median_secs(reps, || {
-                    run_fixed_iters(blahut_arimoto(&source, &distortion, beta, 0.0, iters));
+                    run_fixed_iters(blahut_arimoto(
+                        &source,
+                        &distortion,
+                        beta,
+                        &plain,
+                        &NoopRecorder,
+                    ));
                 })
             });
             if naive.is_none() {
                 println!("blahut_arimoto: skipping naive reference at n={n} (> cap {naive_cap})");
             }
-            let opts = BaTileOptions::default();
+            let opts = BaOptions {
+                tiles: BaTileOptions::default(),
+                ..BaOptions::new(0.0, iters)
+            };
             let tiled = median_secs(reps, || {
-                run_fixed_iters(blahut_arimoto_tiled(
+                run_fixed_iters(blahut_arimoto(
                     &source,
                     &distortion,
                     beta,
-                    0.0,
-                    iters,
                     &opts,
+                    &NoopRecorder,
                 ));
             });
             rows.push(Row {

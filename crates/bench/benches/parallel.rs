@@ -18,6 +18,7 @@ use dplearn::mechanisms::privacy::Epsilon;
 use dplearn::numerics::rng::Xoshiro256;
 use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn::pacbayes::posterior::DiagGaussian;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 
 /// Trial budget for the audit benches. The acceptance target for the
@@ -76,6 +77,7 @@ fn bench_audit(c: &mut Criterion) {
                         40,
                         &cfg,
                         1,
+                        &NoopRecorder,
                     )
                     .unwrap(),
                 )
@@ -109,13 +111,13 @@ fn bench_chains(c: &mut Criterion) {
         })
     });
     group.bench_function("parallel_4_chains", |b| {
-        b.iter(|| black_box(mh.sample_chains(4, 11).unwrap()))
+        b.iter(|| black_box(mh.sample_chains(4, 11, &NoopRecorder).unwrap()))
     });
     group.finish();
 }
 
 fn bench_blahut_arimoto(c: &mut Criterion) {
-    use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
+    use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions};
     let mut group = c.benchmark_group("parallel_blahut_arimoto");
     group.measurement_time(std::time::Duration::from_secs(5));
     group.sample_size(10);
@@ -135,7 +137,10 @@ fn bench_blahut_arimoto(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("ba_256x256", "beta2"), |b| {
         // A loose tolerance keeps the iteration count modest: the bench
         // measures per-iteration throughput, not convergence depth.
-        b.iter(|| black_box(blahut_arimoto(&source, &distortion, 2.0, 1e-4, 20_000).unwrap()))
+        let opts = BaOptions::new(1e-4, 20_000);
+        b.iter(|| {
+            black_box(blahut_arimoto(&source, &distortion, 2.0, &opts, &NoopRecorder).unwrap())
+        })
     });
     group.finish();
 }

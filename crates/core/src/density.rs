@@ -237,7 +237,7 @@ impl PrivateDensity {
         // parallelizes with bit-identical output at any thread count.
         let comps = compositions(cfg.granularity, m);
         let denom = g + alpha * m as f64;
-        let candidates: Vec<HistogramDensity> = dplearn_parallel::par_map(&comps, |_, c| {
+        let candidates: Vec<HistogramDensity> = dplearn_parallel::par_map(&comps, 0, |_, c| {
             let masses: Vec<f64> = c.iter().map(|&v| (v as f64 + alpha) / denom).collect();
             HistogramDensity::new(cfg.lo, cfg.hi, masses)
         })

@@ -18,7 +18,9 @@
 //! distortion `d(Ẑ, θ) = R̂_Ẑ(θ)` and `β = λ`.
 
 use crate::{DplearnError, Result};
-use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, gibbs_fixed_point_gap, RateDistortion};
+use dplearn_infotheory::blahut_arimoto::{
+    blahut_arimoto, gibbs_fixed_point_gap, BaOptions, RateDistortion,
+};
 use dplearn_infotheory::channel::DiscreteChannel;
 use dplearn_learning::data::{Dataset, Example};
 use dplearn_learning::hypothesis::{FiniteClass, Predictor};
@@ -27,6 +29,7 @@ use dplearn_learning::synth::DiscreteWorld;
 use dplearn_pacbayes::gibbs::gibbs_finite;
 use dplearn_pacbayes::kl::kl_finite;
 use dplearn_pacbayes::posterior::FinitePosterior;
+use dplearn_telemetry::NoopRecorder;
 
 /// The finite space of datasets of size `n` over an enumerable world,
 /// with their sampling probabilities under i.i.d. draws.
@@ -241,7 +244,8 @@ pub fn theorem_42_witness(
     risks: &[Vec<f64>],
     lambda: f64,
 ) -> Result<Theorem42Witness> {
-    let rd = blahut_arimoto(&space.probs, risks, lambda, 1e-12, 200_000)?;
+    let opts = BaOptions::new(1e-12, 200_000);
+    let rd = blahut_arimoto(&space.probs, risks, lambda, &opts, &NoopRecorder)?;
     let gibbs_gap = gibbs_fixed_point_gap(&rd, risks, lambda);
     let optimal_objective = rd.distortion + rd.rate / lambda;
     Ok(Theorem42Witness {

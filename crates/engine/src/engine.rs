@@ -673,7 +673,7 @@ impl Engine {
         // only on (batch_seed, submission index, attempt), so the thread
         // count cannot perturb any released value.
         type ExecResult = std::result::Result<(QueryValue, usize), (EngineError, usize)>;
-        let executed: Vec<Option<ExecResult>> = par_map(&work, |_, slot| {
+        let executed: Vec<Option<ExecResult>> = par_map(&work, 0, |_, slot| {
             slot.as_ref().map(|adm| {
                 run_with_retries(
                     adm.mech.as_ref(),

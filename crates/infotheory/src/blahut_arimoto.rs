@@ -19,7 +19,7 @@
 //!
 //! # The kernel
 //!
-//! Every entry point runs one kernel: Blahut's multiplicative form of the
+//! The solver runs one kernel: Blahut's multiplicative form of the
 //! iteration (Blahut, *Computation of channel capacity and rate-distortion
 //! functions*, IEEE T-IT 1972). Once per solve it builds the row-shifted
 //! Gibbs kernel, in parallel over row tiles:
@@ -62,7 +62,7 @@
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
 use dplearn_numerics::special::log_sum_exp;
-use dplearn_robust::{ConvergenceReport, RetryPolicy};
+use dplearn_robust::RetryPolicy;
 use dplearn_telemetry::{NoopRecorder, Recorder};
 
 /// Result of a Blahut–Arimoto run.
@@ -74,8 +74,10 @@ pub struct RateDistortion {
     pub rate: f64,
     /// Expected distortion at the optimum.
     pub distortion: f64,
-    /// Iterations used.
+    /// Iterations used, summed over all attempts.
     pub iterations: usize,
+    /// Attempts made: 1, plus one per damped restart.
+    pub attempts: usize,
     /// Final ℓ∞ change of the output marginal (convergence witness).
     pub final_gap: f64,
     /// Blahut's dual lower bound on `R(D)` at the returned distortion
@@ -93,7 +95,12 @@ pub struct RateDistortion {
 }
 
 /// Validate Blahut–Arimoto inputs, returning the output-alphabet size.
-fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64) -> Result<usize> {
+fn validate_ba(
+    source: &[f64],
+    distortion: &[Vec<f64>],
+    beta: f64,
+    opts: &BaOptions,
+) -> Result<usize> {
     validate_distribution("source", source)?;
     if distortion.len() != source.len() {
         return Err(InfoError::InvalidParameter {
@@ -128,6 +135,20 @@ fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64) -> Result<usi
             reason: format!("must be finite and nonnegative, got {beta}"),
         });
     }
+    // A NaN tolerance never satisfies `gap < tol` and would burn the
+    // whole budget; `tol = 0` stays legal (fixed-iteration runs).
+    if opts.tol.is_nan() || opts.tol < 0.0 {
+        return Err(InfoError::InvalidParameter {
+            name: "tol",
+            reason: format!("must be nonnegative, got {}", opts.tol),
+        });
+    }
+    opts.retry
+        .validate()
+        .map_err(|e| InfoError::InvalidParameter {
+            name: "policy",
+            reason: e.to_string(),
+        })?;
     Ok(ny)
 }
 
@@ -250,7 +271,7 @@ impl BaScratch {
         // Every cell is independent, so any tiling gives the same bits;
         // the workers also take the first-touch page faults.
         let mut gibbs = vec![0.0; nx * ny];
-        dplearn_parallel::par_for_each_chunk_mut_with_cost(
+        dplearn_parallel::par_for_each_chunk_mut(
             &mut gibbs,
             row_tile * ny,
             GIBBS_CELL_COST,
@@ -276,8 +297,8 @@ impl BaScratch {
     }
 }
 
-/// Work counters from one run, recorded (sequentially, after the loop)
-/// by [`blahut_arimoto_tiled_recorded`] as `infotheory.ba.tiles` and
+/// Work counters summed over a solve's attempts, recorded (sequentially,
+/// after the last) by [`blahut_arimoto`] as `infotheory.ba.tiles` and
 /// `infotheory.ba.rows_converged`.
 #[derive(Debug, Clone, Copy, Default)]
 struct BaTileStats {
@@ -350,7 +371,7 @@ fn ba_loop(
         // Row pass: s_x, in parallel over row tiles.
         {
             let r = &r;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
+            dplearn_parallel::par_for_each_chunk_mut(
                 weight,
                 row_tile,
                 ny as u64 * ROW_CELL_COST,
@@ -383,7 +404,7 @@ fn ba_loop(
         // its rows in source order, whatever the tile.
         {
             let (r, weight) = (&r, &*weight);
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
+            dplearn_parallel::par_for_each_chunk_mut(
                 prev_r,
                 col_tile,
                 nx as u64 * COL_CELL_COST,
@@ -449,6 +470,7 @@ fn ba_finalize(
     scratch: &mut BaScratch,
     final_gap: f64,
     iterations: usize,
+    attempts: usize,
 ) -> Result<RateDistortion> {
     let ny = scratch.ny;
     for ry in scratch.prev_r.iter_mut() {
@@ -501,6 +523,7 @@ fn ba_finalize(
         rate,
         distortion: dist,
         iterations,
+        attempts,
         final_gap,
         // `max` maps a NaN to 0; `min` keeps rounding from lifting the
         // bound above the rate it brackets.
@@ -508,148 +531,7 @@ fn ba_finalize(
     })
 }
 
-/// Run Blahut–Arimoto at Lagrange multiplier `beta ≥ 0` on a source
-/// `p(x)` and distortion matrix `d[x][y]`.
-///
-/// Converges when the output marginal moves less than `tol` in ℓ∞, or
-/// errors after `max_iters`. For a self-healing variant that escalates
-/// its iteration budget instead of erroring, see
-/// [`blahut_arimoto_with_retry`]. The same kernel as
-/// [`blahut_arimoto_tiled`] with default options.
-pub fn blahut_arimoto(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<RateDistortion> {
-    blahut_arimoto_tiled(
-        source,
-        distortion,
-        beta,
-        tol,
-        max_iters,
-        &BaTileOptions::default(),
-    )
-}
-
-/// Blahut–Arimoto with a bounded-restart [`RetryPolicy`] instead of a
-/// bare `max_iters` error.
-///
-/// Attempt 0 runs `policy.base_iters` iterations from the uniform
-/// marginal. Each subsequent attempt resumes from the failed marginal
-/// **damped toward uniform** (`r ← (1−damping)·r + damping·uniform`,
-/// which pulls the iterate off collapsed corners where mass on an output
-/// letter underflowed to zero) with a geometrically larger budget
-/// (`base_iters · growth^attempt`), up to `policy.max_attempts` total
-/// attempts. Deterministic: no randomness, no clocks — the schedule is a
-/// pure function of the policy, so results are bit-identical at every
-/// `DPLEARN_THREADS` setting.
-///
-/// On success returns the solution plus a [`ConvergenceReport`]
-/// recording attempts and total iterations; if every attempt is
-/// exhausted, returns [`InfoError::DidNotConverge`] with the *total*
-/// iteration count across attempts.
-pub fn blahut_arimoto_with_retry(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    policy: &RetryPolicy,
-) -> Result<(RateDistortion, ConvergenceReport)> {
-    blahut_arimoto_with_retry_recorded(source, distortion, beta, tol, policy, &NoopRecorder)
-}
-
-/// [`blahut_arimoto_with_retry`] with telemetry: every outer-loop ℓ∞
-/// marginal gap lands in the `infotheory.ba.gap` histogram, each damped
-/// restart bumps the `infotheory.ba.restarts` counter, and the run ends
-/// with `infotheory.ba.iterations` (total across attempts), an
-/// `infotheory.ba.final_gap` gauge, and either an `infotheory.ba.runs`
-/// or `infotheory.ba.nonconverged` counter.
-///
-/// The recorder never influences the iteration — all metrics come from
-/// the sequential outer loop, so recorded values are bit-identical at
-/// every `DPLEARN_THREADS` setting.
-pub fn blahut_arimoto_with_retry_recorded(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    policy: &RetryPolicy,
-    recorder: &dyn Recorder,
-) -> Result<(RateDistortion, ConvergenceReport)> {
-    policy.validate().map_err(|e| InfoError::InvalidParameter {
-        name: "policy",
-        reason: e.to_string(),
-    })?;
-    let ny = validate_ba(source, distortion, beta)?;
-    let uniform = 1.0 / ny as f64;
-    let mut r = vec![uniform; ny];
-    let mut total_iterations = 0usize;
-    let observe = recorder.enabled();
-    // One scratch space (`A` and the marginal buffers) shared by every
-    // retry attempt — restarts re-enter with `A` already built.
-    let opts = BaTileOptions::default();
-    let mut scratch = BaScratch::new(distortion, beta, ny, &opts);
-    let mut stats = BaTileStats::default();
-    for attempt in 0..policy.max_attempts {
-        let budget = policy.budget_for(attempt);
-        let state = ba_loop(
-            source,
-            distortion,
-            beta,
-            tol,
-            budget,
-            r,
-            &mut scratch,
-            recorder,
-            &mut stats,
-        );
-        total_iterations = total_iterations.saturating_add(state.iterations);
-        if state.converged {
-            let report = ConvergenceReport {
-                attempts: attempt + 1,
-                converged: true,
-                degraded: false,
-                total_iterations,
-                final_residual: state.gap,
-            };
-            if observe {
-                recorder.counter_add("infotheory.ba.runs", "", 1);
-                recorder.counter_add("infotheory.ba.iterations", "", total_iterations as u64);
-                recorder.gauge_set("infotheory.ba.final_gap", "", state.gap);
-            }
-            let rd = ba_finalize(
-                source,
-                distortion,
-                beta,
-                &mut scratch,
-                state.gap,
-                total_iterations,
-            )?;
-            return Ok((rd, report));
-        }
-        // Damped re-initialization: mix the failed marginal back toward
-        // uniform. Mixing two normalized distributions stays normalized.
-        if observe && attempt + 1 < policy.max_attempts {
-            recorder.counter_add("infotheory.ba.restarts", "", 1);
-        }
-        r = state
-            .r
-            .iter()
-            .map(|&ri| (1.0 - policy.damping) * ri + policy.damping * uniform)
-            .collect();
-    }
-    if observe {
-        recorder.counter_add("infotheory.ba.nonconverged", "", 1);
-        recorder.counter_add("infotheory.ba.iterations", "", total_iterations as u64);
-    }
-    Err(InfoError::DidNotConverge {
-        iterations: total_iterations,
-    })
-}
-
-/// Tile geometry for [`blahut_arimoto_tiled`].
+/// Tile geometry of the parallel passes ([`BaOptions::tiles`]).
 ///
 /// No option value changes a bit of the result: tile boundaries never
 /// change an accumulation order (pinned by
@@ -664,80 +546,146 @@ pub struct BaTileOptions {
     pub col_tile: usize,
 }
 
-/// [`blahut_arimoto`] with explicit tile geometry — the large-alphabet
-/// entry point.
+/// Options of [`blahut_arimoto`].
+#[derive(Debug, Clone)]
+pub struct BaOptions {
+    /// An attempt converges once the output marginal moves less than
+    /// `tol` in ℓ∞ (`tol ≥ 0`; `0` runs the whole budget).
+    pub tol: f64,
+    /// Each attempt's iteration budget, and the damping between attempts.
+    pub retry: RetryPolicy,
+    /// Tile geometry of the parallel passes.
+    pub tiles: BaTileOptions,
+}
+
+impl BaOptions {
+    /// One attempt of at most `max_iters` iterations, with default tiles.
+    pub fn new(tol: f64, max_iters: usize) -> Self {
+        BaOptions {
+            tol,
+            retry: RetryPolicy::single_attempt(max_iters),
+            tiles: BaTileOptions::default(),
+        }
+    }
+}
+
+/// Run Blahut–Arimoto at Lagrange multiplier `beta ≥ 0` on a source
+/// `p(x)` and distortion matrix `d[x][y]`.
 ///
-/// Bit-identical to [`blahut_arimoto`] for **any** option values at
-/// **any** `DPLEARN_THREADS` (tile boundaries never change an
-/// accumulation order) — pinned across tile sizes {1, 7, 64, 4096} in
-/// `tests/determinism.rs`.
+/// Attempt 0 runs up to `opts.retry.budget_for(0)` iterations from the
+/// uniform marginal, until the marginal moves less than `opts.tol` in
+/// ℓ∞. Each later attempt resumes from the failed marginal **damped
+/// toward uniform** (`r ← (1−damping)·r + damping·uniform`, which pulls
+/// the iterate off collapsed corners where mass on an output letter
+/// underflowed to zero) with the geometrically larger budget
+/// `budget_for(attempt)`, up to `opts.retry.max_attempts` attempts
+/// ([`BaOptions::new`] makes one). If every attempt is exhausted,
+/// returns [`InfoError::DidNotConverge`] with the iterations of all
+/// attempts. The schedule is a pure function of the options, and no tile
+/// geometry changes an accumulation order, so the result is
+/// bit-identical at every `DPLEARN_THREADS` setting.
+///
+/// Telemetry, all from the sequential outer loop, so recorded values are
+/// bit-identical at every thread count: the ℓ∞ gap of every iteration
+/// (`infotheory.ba.gap` histogram) and each damped restart
+/// (`infotheory.ba.restarts`); at the end, the tiles dispatched
+/// (`infotheory.ba.tiles`), the row updates skipped by the frozen early
+/// exit (`infotheory.ba.rows_converged`) and the iterations of all
+/// attempts (`infotheory.ba.iterations`); then `infotheory.ba.runs` and
+/// an `infotheory.ba.final_gap` gauge, or `infotheory.ba.nonconverged`.
+/// A caller that does not observe passes `&NoopRecorder`.
+pub fn blahut_arimoto(
+    source: &[f64],
+    distortion: &[Vec<f64>],
+    beta: f64,
+    opts: &BaOptions,
+    recorder: &dyn Recorder,
+) -> Result<RateDistortion> {
+    let ny = validate_ba(source, distortion, beta, opts)?;
+    let policy = &opts.retry;
+    let uniform = 1.0 / ny as f64;
+    let mut r = vec![uniform; ny];
+    // One scratch space (`A` and the marginal buffers) shared by every
+    // attempt: restarts re-enter with `A` already built.
+    let mut scratch = BaScratch::new(distortion, beta, ny, &opts.tiles);
+    let mut stats = BaTileStats::default();
+    let mut attempts = 0;
+    let mut iterations = 0usize;
+    let observe = recorder.enabled();
+    let final_gap = loop {
+        let budget = policy.budget_for(attempts);
+        let state = ba_loop(
+            source,
+            distortion,
+            beta,
+            opts.tol,
+            budget,
+            r,
+            &mut scratch,
+            recorder,
+            &mut stats,
+        );
+        attempts += 1;
+        iterations = iterations.saturating_add(state.iterations);
+        if state.converged {
+            break Some(state.gap);
+        }
+        if attempts == policy.max_attempts {
+            break None;
+        }
+        if observe {
+            recorder.counter_add("infotheory.ba.restarts", "", 1);
+        }
+        // Damped restart. Mixing two normalized distributions stays
+        // normalized.
+        r = state.r;
+        for ri in &mut r {
+            *ri = (1.0 - policy.damping) * *ri + policy.damping * uniform;
+        }
+    };
+    if observe {
+        recorder.counter_add("infotheory.ba.tiles", "", stats.tiles);
+        recorder.counter_add("infotheory.ba.rows_converged", "", stats.rows_converged);
+        recorder.counter_add("infotheory.ba.iterations", "", iterations as u64);
+        match final_gap {
+            Some(gap) => {
+                recorder.counter_add("infotheory.ba.runs", "", 1);
+                recorder.gauge_set("infotheory.ba.final_gap", "", gap);
+            }
+            None => recorder.counter_add("infotheory.ba.nonconverged", "", 1),
+        }
+    }
+    let Some(gap) = final_gap else {
+        return Err(InfoError::DidNotConverge { iterations });
+    };
+    ba_finalize(
+        source,
+        distortion,
+        beta,
+        &mut scratch,
+        gap,
+        iterations,
+        attempts,
+    )
+}
+
+/// [`blahut_arimoto`] with one attempt of at most `max_iters`
+/// iterations, the given tiles and no recorder. The repo benchmark
+/// (`benchmark/src/leakage.rs`) still calls it; it goes when the
+/// benchmark next changes. Everything else calls [`blahut_arimoto`].
 pub fn blahut_arimoto_tiled(
     source: &[f64],
     distortion: &[Vec<f64>],
     beta: f64,
     tol: f64,
     max_iters: usize,
-    opts: &BaTileOptions,
+    tiles: &BaTileOptions,
 ) -> Result<RateDistortion> {
-    blahut_arimoto_tiled_recorded(
-        source,
-        distortion,
-        beta,
-        tol,
-        max_iters,
-        opts,
-        &NoopRecorder,
-    )
-}
-
-/// [`blahut_arimoto_tiled`] with telemetry: per-iteration gaps land in
-/// the `infotheory.ba.gap` histogram, and the run ends with
-/// `infotheory.ba.tiles` (tiles dispatched to the scheduler across all
-/// iterations) and `infotheory.ba.rows_converged` (row updates skipped
-/// by the frozen early-exit). All counters are accumulated in the
-/// sequential control loop, so snapshots are bit-identical at every
-/// thread count.
-pub fn blahut_arimoto_tiled_recorded(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-    opts: &BaTileOptions,
-    recorder: &dyn Recorder,
-) -> Result<RateDistortion> {
-    let ny = validate_ba(source, distortion, beta)?;
-    let r = vec![1.0 / ny as f64; ny];
-    let mut scratch = BaScratch::new(distortion, beta, ny, opts);
-    let mut stats = BaTileStats::default();
-    let state = ba_loop(
-        source,
-        distortion,
-        beta,
-        tol,
-        max_iters,
-        r,
-        &mut scratch,
-        recorder,
-        &mut stats,
-    );
-    if recorder.enabled() {
-        recorder.counter_add("infotheory.ba.tiles", "", stats.tiles);
-        recorder.counter_add("infotheory.ba.rows_converged", "", stats.rows_converged);
-    }
-    if !state.converged {
-        return Err(InfoError::DidNotConverge {
-            iterations: state.iterations,
-        });
-    }
-    ba_finalize(
-        source,
-        distortion,
-        beta,
-        &mut scratch,
-        state.gap,
-        state.iterations,
-    )
+    let opts = BaOptions {
+        tiles: tiles.clone(),
+        ..BaOptions::new(tol, max_iters)
+    };
+    blahut_arimoto(source, distortion, beta, &opts, &NoopRecorder)
 }
 
 /// ℓ∞ distance between a channel's rows and the Gibbs kernel built from a
@@ -790,6 +738,7 @@ mod tests {
     use super::*;
     use dplearn_numerics::rng::{Rng, Xoshiro256};
     use dplearn_numerics::special::{kahan_sum, xlogx_over_y};
+    use dplearn_telemetry::{MemoryRecorder, TelemetrySnapshot};
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
@@ -803,6 +752,44 @@ mod tests {
         }
     }
 
+    /// One attempt with default tiles, observing nothing.
+    fn solve(
+        source: &[f64],
+        distortion: &[Vec<f64>],
+        beta: f64,
+        tol: f64,
+        max_iters: usize,
+    ) -> Result<RateDistortion> {
+        let opts = BaOptions::new(tol, max_iters);
+        blahut_arimoto(source, distortion, beta, &opts, &NoopRecorder)
+    }
+
+    /// Default tiles, retried under `policy`.
+    fn retried(tol: f64, policy: &RetryPolicy) -> BaOptions {
+        BaOptions {
+            tol,
+            retry: policy.clone(),
+            tiles: BaTileOptions::default(),
+        }
+    }
+
+    fn counter(snap: &TelemetrySnapshot, key: &str) -> Option<u64> {
+        snap.counters
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, v)| v)
+    }
+
+    /// Points in the `infotheory.ba.gap` histogram.
+    fn gap_points(snap: &TelemetrySnapshot) -> u64 {
+        let (_, gap) = snap
+            .histograms
+            .iter()
+            .find(|(k, _)| k == "infotheory.ba.gap")
+            .unwrap();
+        gap.total + gap.non_finite
+    }
+
     fn hamming(n: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| (0..n).map(|j| if i == j { 0.0 } else { 1.0 }).collect())
@@ -812,13 +799,13 @@ mod tests {
     #[test]
     fn beta_zero_gives_zero_rate() {
         // No distortion pressure: the optimal channel ignores the input.
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), 0.0, 1e-12, 1000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), 0.0, 1e-12, 1000).unwrap();
         close(rd.rate, 0.0, 1e-9);
     }
 
     #[test]
     fn large_beta_approaches_zero_distortion_full_rate() {
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), 50.0, 1e-12, 10_000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), 50.0, 1e-12, 10_000).unwrap();
         close(rd.distortion, 0.0, 1e-6);
         close(rd.rate, std::f64::consts::LN_2, 1e-4);
     }
@@ -829,7 +816,7 @@ mod tests {
         // R(D) = ln2 − H(D). The BA solution at β corresponds to
         // D = 1/(1+e^β).
         let beta = 2.0f64;
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
         let d = 1.0 / (1.0 + beta.exp());
         close(rd.distortion, d, 1e-6);
         let want_rate = std::f64::consts::LN_2 - dplearn_numerics::special::binary_entropy(d);
@@ -845,7 +832,7 @@ mod tests {
             vec![1.0, 0.7, 0.0],
         ];
         let beta = 3.0;
-        let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+        let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
         let gap = gibbs_fixed_point_gap(&rd, &distortion, beta);
         assert!(gap < 1e-9, "Gibbs fixed-point gap {gap}");
     }
@@ -855,7 +842,7 @@ mod tests {
         let source = [0.4, 0.6];
         let distortion = vec![vec![0.0, 1.0], vec![0.8, 0.1]];
         let beta = 1.5;
-        let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+        let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
         let rows: Vec<Vec<f64>> = rd.channel.rows().map(<[f64]>::to_vec).collect();
         let opt = lagrangian(&source, &rows, &distortion, beta).unwrap();
         let mut rng = Xoshiro256::seed_from(91);
@@ -1050,9 +1037,9 @@ mod tests {
 
     #[test]
     fn scratch_reuse_output_is_bit_identical_to_naive_reference() {
-        // Every entry point must reproduce the serial, allocate-per-
-        // iteration replica bit for bit: the default solver, the first
-        // retry attempt, and the tiled solver.
+        // The solver must reproduce the serial, allocate-per-iteration
+        // replica bit for bit, in one attempt and as the first attempt of
+        // a retried solve.
         let policy = RetryPolicy {
             max_attempts: 2,
             base_iters: 50_000,
@@ -1063,12 +1050,13 @@ mod tests {
             let (tol, max_iters) = (1e-13, 50_000);
             let (want_kernel, want_iters) =
                 serial_reference(&source, &distortion, beta, tol, max_iters);
-            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+            let rd = solve(&source, &distortion, beta, tol, max_iters).unwrap();
             assert_eq!(rd.iterations, want_iters);
+            assert_eq!(rd.attempts, 1);
             assert_kernel_bits(&rd, &want_kernel, &format!("default at β={beta}"));
-            let (retry, rep) =
-                blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
-            assert_eq!(rep.attempts, 1);
+            let opts = retried(tol, &policy);
+            let retry = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
+            assert_eq!(retry.attempts, 1);
             assert_eq!(retry.iterations, want_iters);
             assert_kernel_bits(&retry, &want_kernel, &format!("retry at β={beta}"));
         }
@@ -1087,18 +1075,17 @@ mod tests {
             growth: 4.0,
             damping: 0.5,
         };
-        let (rd, rep) =
-            blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
-        assert!(rep.attempts > 1, "premise: restarts must actually happen");
+        let opts = retried(tol, &policy);
+        let rd = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
+        assert!(rd.attempts > 1, "premise: restarts must actually happen");
         // Reference: replay the retry schedule with a brand-new solve per
         // attempt (fresh scratch each time) and compare bits.
         let ny = 2;
         let uniform = 1.0 / ny as f64;
-        let opts = BaTileOptions::default();
         let mut r = vec![uniform; ny];
         for attempt in 0.. {
             let budget = policy.budget_for(attempt);
-            let mut scratch = BaScratch::new(&distortion, beta, ny, &opts);
+            let mut scratch = BaScratch::new(&distortion, beta, ny, &opts.tiles);
             let state = ba_loop(
                 &source,
                 &distortion,
@@ -1112,10 +1099,10 @@ mod tests {
             );
             if state.converged {
                 let fresh =
-                    ba_finalize(&source, &distortion, beta, &mut scratch, state.gap, 0).unwrap();
+                    ba_finalize(&source, &distortion, beta, &mut scratch, state.gap, 0, 1).unwrap();
                 let fresh_rows: Vec<Vec<f64>> = fresh.channel.rows().map(<[f64]>::to_vec).collect();
                 assert_kernel_bits(&rd, &fresh_rows, "fresh scratch per attempt");
-                assert_eq!(rep.attempts, attempt + 1);
+                assert_eq!(rd.attempts, attempt + 1);
                 break;
             }
             r = state
@@ -1137,7 +1124,7 @@ mod tests {
             vec![1.0, 0.7, 0.0],
         ];
         let run = || {
-            let rd = blahut_arimoto(&source, &distortion, 3.0, 1e-13, 50_000).unwrap();
+            let rd = solve(&source, &distortion, 3.0, 1e-13, 50_000).unwrap();
             let kernel_bits: Vec<Vec<u64>> = rd
                 .channel
                 .rows()
@@ -1162,7 +1149,7 @@ mod tests {
         let distortion = hamming(2);
         let (beta, tol) = (5.0, 1e-13);
         assert!(matches!(
-            blahut_arimoto(&source, &distortion, beta, tol, 2),
+            solve(&source, &distortion, beta, tol, 2),
             Err(InfoError::DidNotConverge { .. })
         ));
         let policy = RetryPolicy {
@@ -1171,14 +1158,19 @@ mod tests {
             growth: 4.0,
             damping: 0.5,
         };
-        let (rd, report) = blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy)
-            .expect("retry should recover");
-        assert!(report.converged && !report.degraded);
-        assert!(report.attempts > 1, "should have needed a restart");
-        assert!(report.total_iterations > 2);
+        let rd = blahut_arimoto(
+            &source,
+            &distortion,
+            beta,
+            &retried(tol, &policy),
+            &NoopRecorder,
+        )
+        .expect("retry should recover");
+        assert!(rd.attempts > 1, "should have needed a restart");
+        assert!(rd.iterations > 2);
         assert!(rd.final_gap < tol);
         // The retried answer matches a single generous run.
-        let direct = blahut_arimoto(&source, &distortion, beta, tol, 100_000).unwrap();
+        let direct = solve(&source, &distortion, beta, tol, 100_000).unwrap();
         close(rd.rate, direct.rate, 1e-9);
         close(rd.distortion, direct.distortion, 1e-9);
     }
@@ -1194,9 +1186,9 @@ mod tests {
             damping: 0.5,
         };
         let run = || {
-            let (rd, rep) =
-                blahut_arimoto_with_retry(&source, &distortion, 2.0, 1e-12, &policy).unwrap();
-            (rd.rate.to_bits(), rep.attempts, rep.total_iterations)
+            let opts = retried(1e-12, &policy);
+            let rd = blahut_arimoto(&source, &distortion, 2.0, &opts, &NoopRecorder).unwrap();
+            (rd.rate.to_bits(), rd.attempts, rd.iterations)
         };
         let a = run();
         let b = run();
@@ -1212,7 +1204,8 @@ mod tests {
             growth: 1.0,
             damping: 0.0,
         };
-        match blahut_arimoto_with_retry(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, &policy) {
+        let opts = retried(1e-15, &policy);
+        match blahut_arimoto(&[0.2, 0.8], &hamming(2), 5.0, &opts, &NoopRecorder) {
             Err(InfoError::DidNotConverge { iterations }) => assert_eq!(iterations, 3),
             other => panic!("expected DidNotConverge, got {other:?}"),
         }
@@ -1222,14 +1215,19 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(matches!(
-            blahut_arimoto_with_retry(&[0.5, 0.5], &hamming(2), 1.0, 1e-9, &bad),
+            blahut_arimoto(
+                &[0.5, 0.5],
+                &hamming(2),
+                1.0,
+                &retried(1e-9, &bad),
+                &NoopRecorder
+            ),
             Err(InfoError::InvalidParameter { name: "policy", .. })
         ));
     }
 
     #[test]
     fn recorded_retry_matches_plain_and_traces_the_gap() {
-        use dplearn_telemetry::MemoryRecorder;
         let source = [0.2, 0.8];
         let distortion = hamming(2);
         let (beta, tol) = (5.0, 1e-13);
@@ -1239,46 +1237,35 @@ mod tests {
             growth: 4.0,
             damping: 0.5,
         };
+        let opts = retried(tol, &policy);
         let recorder = MemoryRecorder::new();
-        let (plain, plain_rep) =
-            blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
-        let (rd, rep) =
-            blahut_arimoto_with_retry_recorded(&source, &distortion, beta, tol, &policy, &recorder)
-                .unwrap();
+        let plain = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
+        let rd = blahut_arimoto(&source, &distortion, beta, &opts, &recorder).unwrap();
         // Observing the run must not change it.
         assert_eq!(rd.rate.to_bits(), plain.rate.to_bits());
-        assert_eq!(rep, plain_rep);
+        assert_eq!(
+            (rd.attempts, rd.iterations, rd.final_gap.to_bits()),
+            (plain.attempts, plain.iterations, plain.final_gap.to_bits())
+        );
         assert!(
-            rep.attempts > 1,
+            rd.attempts > 1,
             "premise: small base budget forces restarts"
         );
 
         let snap = recorder.snapshot().unwrap();
-        let counter = |key: &str| {
-            snap.counters
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-        };
-        assert_eq!(counter("infotheory.ba.runs"), Some(1));
+        assert_eq!(counter(&snap, "infotheory.ba.runs"), Some(1));
         assert_eq!(
-            counter("infotheory.ba.restarts"),
-            Some(rep.attempts as u64 - 1)
+            counter(&snap, "infotheory.ba.restarts"),
+            Some(rd.attempts as u64 - 1)
         );
         assert_eq!(
-            counter("infotheory.ba.iterations"),
-            Some(rep.total_iterations as u64)
+            counter(&snap, "infotheory.ba.iterations"),
+            Some(rd.iterations as u64)
         );
         // One gap observation per outer iteration across all attempts.
-        let gap = snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "infotheory.ba.gap")
-            .map(|(_, h)| h)
-            .unwrap();
         assert_eq!(
-            gap.total + gap.non_finite,
-            rep.total_iterations as u64,
+            gap_points(&snap),
+            rd.iterations as u64,
             "one gap point per iteration"
         );
         // Non-convergence is itself observable.
@@ -1289,20 +1276,70 @@ mod tests {
             damping: 0.0,
         };
         let rec2 = MemoryRecorder::new();
-        assert!(blahut_arimoto_with_retry_recorded(
-            &source,
-            &distortion,
-            beta,
-            1e-15,
-            &starved,
-            &rec2
-        )
-        .is_err());
+        assert!(
+            blahut_arimoto(&source, &distortion, beta, &retried(1e-15, &starved), &rec2).is_err()
+        );
         let snap2 = rec2.snapshot().unwrap();
         assert!(snap2
             .counters
             .iter()
             .any(|(k, v)| k == "infotheory.ba.nonconverged" && *v == 1));
+    }
+
+    #[test]
+    fn one_solve_records_the_run_and_the_tile_metrics() {
+        let (source, distortion, beta, tol) = ([0.2, 0.8], hamming(2), 5.0, 1e-13);
+        let tiles = BaTileOptions {
+            row_tile: 1,
+            col_tile: 1,
+        };
+        let single = BaOptions {
+            tiles: tiles.clone(),
+            ..BaOptions::new(tol, 50_000)
+        };
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            base_iters: 2,
+            growth: 4.0,
+            damping: 0.5,
+        };
+        let retry = BaOptions {
+            tiles,
+            ..retried(tol, &policy)
+        };
+        for (opts, what) in [(single, "single attempt"), (retry, "retried")] {
+            let plain = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
+            let recorder = MemoryRecorder::new();
+            let rd = blahut_arimoto(&source, &distortion, beta, &opts, &recorder).unwrap();
+            assert_eq!(rd.attempts > 1, what == "retried", "premise: {what}");
+            assert_eq!(rd.iterations, plain.iterations, "{what}");
+            assert_eq!(rd.rate.to_bits(), plain.rate.to_bits(), "{what}");
+            assert_kernel_bits(
+                &rd,
+                &plain
+                    .channel
+                    .rows()
+                    .map(<[f64]>::to_vec)
+                    .collect::<Vec<_>>(),
+                what,
+            );
+            let snap = recorder.snapshot().unwrap();
+            let iterations = rd.iterations as u64;
+            assert_eq!(counter(&snap, "infotheory.ba.runs"), Some(1), "{what}");
+            assert_eq!(counter(&snap, "infotheory.ba.iterations"), Some(iterations));
+            assert!(snap
+                .gauges
+                .iter()
+                .any(|(k, g)| k == "infotheory.ba.final_gap"
+                    && g.to_bits() == rd.final_gap.to_bits()));
+            assert_eq!(gap_points(&snap), iterations, "{what}");
+            // No iteration froze, so every iteration of every attempt
+            // dispatched all nx + ny = 4 of its 1-row and 1-column tiles.
+            assert_eq!(counter(&snap, "infotheory.ba.rows_converged"), Some(0));
+            assert_eq!(counter(&snap, "infotheory.ba.tiles"), Some(4 * iterations));
+            let restarts = counter(&snap, "infotheory.ba.restarts").unwrap_or(0);
+            assert_eq!(rd.attempts as u64, restarts + 1, "{what}");
+        }
     }
 
     /// Cases with and without zero-mass source symbols, including the
@@ -1327,18 +1364,19 @@ mod tests {
 
     #[test]
     fn tiled_defaults_are_bit_identical_to_the_default_path() {
+        // `0` tiles mean auto; spelling the auto geometry out changes
+        // nothing.
         for (source, distortion, beta) in tiled_cases() {
             let (tol, max_iters) = (1e-13, 50_000);
-            let want = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
-            let got = blahut_arimoto_tiled(
-                &source,
-                &distortion,
-                beta,
-                tol,
-                max_iters,
-                &BaTileOptions::default(),
-            )
-            .unwrap();
+            let want = solve(&source, &distortion, beta, tol, max_iters).unwrap();
+            let opts = BaOptions {
+                tiles: BaTileOptions {
+                    row_tile: source.len().div_ceil(64).max(1),
+                    col_tile: distortion[0].len().div_ceil(64).max(64),
+                },
+                ..BaOptions::new(tol, max_iters)
+            };
+            let got = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
             assert_eq!(got.iterations, want.iterations);
             assert_eq!(got.rate.to_bits(), want.rate.to_bits());
             assert_eq!(got.distortion.to_bits(), want.distortion.to_bits());
@@ -1355,19 +1393,21 @@ mod tests {
         for (source, distortion, beta) in bit_identity_cases() {
             let (want_kernel, want_iters) =
                 serial_reference(&source, &distortion, beta, 1e-13, 50_000);
-            let want = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+            let want = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
             // `1 << 63` rows of 2 or 4 cells wrap an unclamped chunk size
             // to 0; `usize::MAX` overflows any product.
             for threads in [1usize, 2, 8] {
                 dplearn_parallel::set_thread_count(threads);
                 for tile in [1usize, 7, 64, 4096, 1 << 63, usize::MAX] {
-                    let opts = BaTileOptions {
-                        row_tile: tile,
-                        col_tile: tile,
+                    let opts = BaOptions {
+                        tiles: BaTileOptions {
+                            row_tile: tile,
+                            col_tile: tile,
+                        },
+                        ..BaOptions::new(1e-13, 50_000)
                     };
                     let got =
-                        blahut_arimoto_tiled(&source, &distortion, beta, 1e-13, 50_000, &opts)
-                            .unwrap();
+                        blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder).unwrap();
                     assert_eq!(got.iterations, want_iters, "tile={tile}");
                     assert_eq!(got.rate.to_bits(), want.rate.to_bits(), "tile={tile}");
                     assert_eq!(
@@ -1395,17 +1435,9 @@ mod tests {
         let (want_kernel, want_iters) =
             serial_reference(&source, &distortion, beta, 0.0, max_iters);
         assert_eq!(want_iters, max_iters);
-        use dplearn_telemetry::MemoryRecorder;
         let recorder = MemoryRecorder::new();
-        let got = blahut_arimoto_tiled_recorded(
-            &source,
-            &distortion,
-            beta,
-            0.0,
-            max_iters,
-            &BaTileOptions::default(),
-            &recorder,
-        );
+        let opts = BaOptions::new(0.0, max_iters);
+        let got = blahut_arimoto(&source, &distortion, beta, &opts, &recorder);
         // tol = 0 never satisfies `gap < tol`: both paths report
         // non-convergence after exactly max_iters.
         assert!(matches!(
@@ -1415,37 +1447,18 @@ mod tests {
             }) if iterations == max_iters
         ));
         let snap = recorder.snapshot().unwrap();
-        let counter = |key: &str| {
-            snap.counters
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-        };
         // The iterate must actually have frozen (the fixed point is
         // reached bitwise long before 2000 iterations)...
-        let skipped = counter("infotheory.ba.rows_converged").unwrap();
+        let skipped = counter(&snap, "infotheory.ba.rows_converged").unwrap();
         assert!(skipped > 0, "premise: the marginal must go stationary");
         // ...and every frozen iteration skipped all rows.
         assert_eq!(skipped % source.len() as u64, 0);
-        assert!(counter("infotheory.ba.tiles").unwrap() > 0);
+        assert!(counter(&snap, "infotheory.ba.tiles").unwrap() > 0);
         // One gap observation per iteration, frozen or not.
-        let gap = snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "infotheory.ba.gap")
-            .map(|(_, h)| h)
-            .unwrap();
-        assert_eq!(gap.total + gap.non_finite, max_iters as u64);
+        assert_eq!(gap_points(&snap), max_iters as u64);
         // A converged run at the same β pins the frozen kernel against
         // the replica's fixed-iteration kernel: rerun without the error.
-        let frozen_rd = blahut_arimoto_tiled(
-            &source,
-            &distortion,
-            beta,
-            1e-30,
-            max_iters,
-            &BaTileOptions::default(),
-        );
+        let frozen_rd = solve(&source, &distortion, beta, 1e-30, max_iters);
         // 1e-30 > 0, so the first exactly-zero gap converges the run —
         // while the replica at tol=0 runs all 2000 iterations to land on
         // the same bits.
@@ -1455,33 +1468,21 @@ mod tests {
 
     #[test]
     fn tiled_telemetry_counts_tiles_and_is_thread_invariant() {
-        use dplearn_telemetry::MemoryRecorder;
         let (source, distortion, beta) = (&tiled_cases()[1].0, hamming(4), 2.5);
-        let opts = BaTileOptions {
-            row_tile: 1,
-            col_tile: 1,
+        let opts = BaOptions {
+            tiles: BaTileOptions {
+                row_tile: 1,
+                col_tile: 1,
+            },
+            ..BaOptions::new(1e-13, 50_000)
         };
         let run = |threads| {
             dplearn_parallel::set_thread_count(threads);
             let recorder = MemoryRecorder::new();
-            let rd = blahut_arimoto_tiled_recorded(
-                source,
-                &distortion,
-                beta,
-                1e-13,
-                50_000,
-                &opts,
-                &recorder,
-            )
-            .unwrap();
+            let rd = blahut_arimoto(source, &distortion, beta, &opts, &recorder).unwrap();
             dplearn_parallel::set_thread_count(0);
             let snap = recorder.snapshot().unwrap();
-            let tiles = snap
-                .counters
-                .iter()
-                .find(|(k, _)| k == "infotheory.ba.tiles")
-                .map(|&(_, v)| v)
-                .unwrap();
+            let tiles = counter(&snap, "infotheory.ba.tiles").unwrap();
             (rd.rate.to_bits(), rd.iterations, tiles)
         };
         let one = run(1);
@@ -1545,14 +1546,14 @@ mod tests {
     #[test]
     fn multiplicative_kernel_agrees_with_the_log_space_oracle() {
         for (source, distortion, beta) in tiled_cases() {
-            let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+            let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
             assert_matches_oracle(&rd, &source, &distortion, beta, 1e-13, 50_000);
         }
         // The benchmark's 384-symbol problem at its tolerance, from the
         // smooth regime into the one where most cells underflow.
         let (source, distortion) = abs_distance_problem(384);
         for (beta, iterations) in [(16.0, 241), (200.0, 103), (2000.0, 3), (20000.0, 2)] {
-            let rd = blahut_arimoto(&source, &distortion, beta, 1e-5, 2_000).unwrap();
+            let rd = solve(&source, &distortion, beta, 1e-5, 2_000).unwrap();
             assert_eq!(rd.iterations, iterations, "β={beta}");
             assert_matches_oracle(&rd, &source, &distortion, beta, 1e-5, 2_000);
         }
@@ -1565,7 +1566,7 @@ mod tests {
         // `xlogx_over_y` per cell into one accumulator, over boxed rows)
         // agrees to rounding.
         let (source, distortion) = abs_distance_problem(384);
-        let rd = blahut_arimoto(&source, &distortion, 16.0, 1e-5, 2_000).unwrap();
+        let rd = solve(&source, &distortion, 16.0, 1e-5, 2_000).unwrap();
         assert_eq!(rd.iterations, 241);
         for tile in [1, 7, 64, 4096] {
             let kernel = rd.channel.mutual_information_blocked(tile).unwrap();
@@ -1630,7 +1631,7 @@ mod tests {
             subnormal > 0,
             "premise: some marginal entries are subnormal"
         );
-        let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+        let rd = solve(&source, &distortion, beta, tol, max_iters).unwrap();
         assert!(rd.rate.is_finite());
         assert!(
             rel_err(rd.rate, oracle_rate) <= 1e-12,
@@ -1672,7 +1673,7 @@ mod tests {
                 vec![2],
                 "premise: row 2 takes the fallback"
             );
-            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+            let rd = solve(&source, &distortion, beta, tol, max_iters).unwrap();
             assert!(!rd.rate.is_nan() && !rd.distortion.is_nan());
             assert!(!rd.rate_lower_bound.is_nan());
             assert_matches_oracle(&rd, &source, &distortion, beta, tol, max_iters);
@@ -1684,7 +1685,7 @@ mod tests {
     #[test]
     fn rate_lower_bound_brackets_the_rate() {
         for (source, distortion, beta) in bit_identity_cases() {
-            let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+            let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
             assert!(rd.rate_lower_bound >= 0.0);
             assert!(rd.rate_lower_bound <= rd.rate, "β={beta}");
         }
@@ -1693,7 +1694,7 @@ mod tests {
         // arithmetic, so it may be a few ulps narrower than the rounding
         // of the closed form.
         for beta in [0.5f64, 2.0, 5.0] {
-            let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
+            let rd = solve(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
             let closed =
                 std::f64::consts::LN_2 - dplearn_numerics::special::binary_entropy(rd.distortion);
             let slack = 8.0 * f64::EPSILON;
@@ -1709,7 +1710,7 @@ mod tests {
         let widths: Vec<f64> = [1e-3, 1e-6, 1e-9]
             .iter()
             .map(|&tol| {
-                let rd = blahut_arimoto(&source, &distortion, 4.0, tol, 200_000).unwrap();
+                let rd = solve(&source, &distortion, 4.0, tol, 200_000).unwrap();
                 rd.rate - rd.rate_lower_bound
             })
             .collect();
@@ -1721,14 +1722,30 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(blahut_arimoto(&[0.5, 0.6], &hamming(2), 1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[0.5, 0.5], &hamming(3), 1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[0.5, 0.5], &hamming(2), -1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[1.0], &[vec![]], 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.6], &hamming(2), 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.5], &hamming(3), 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.5], &hamming(2), -1.0, 1e-9, 100).is_err());
+        assert!(solve(&[1.0], &[vec![]], 1.0, 1e-9, 100).is_err());
+        // A NaN or negative tolerance, and a zero budget, are typed
+        // errors; `tol = 0` runs the whole budget.
+        for tol in [f64::NAN, -1e-9] {
+            assert!(matches!(
+                solve(&[0.5, 0.5], &hamming(2), 1.0, tol, 100),
+                Err(InfoError::InvalidParameter { name: "tol", .. })
+            ));
+        }
+        assert!(matches!(
+            solve(&[0.5, 0.5], &hamming(2), 1.0, 1e-9, 0),
+            Err(InfoError::InvalidParameter { name: "policy", .. })
+        ));
+        assert!(matches!(
+            solve(&[0.2, 0.8], &hamming(2), 5.0, 0.0, 3),
+            Err(InfoError::DidNotConverge { iterations: 3 })
+        ));
         // Non-convergence in 1 iteration (asymmetric source so the
         // uniform starting marginal is not already the fixed point).
         assert!(matches!(
-            blahut_arimoto(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, 1),
+            solve(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, 1),
             Err(InfoError::DidNotConverge { .. })
         ));
     }

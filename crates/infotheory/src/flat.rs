@@ -146,7 +146,7 @@ pub(crate) fn output_marginal_kernel(
     tile: usize,
 ) -> Vec<f64> {
     let mut out = vec![0.0; ny];
-    dplearn_parallel::par_for_each_chunk_mut_with_cost(
+    dplearn_parallel::par_for_each_chunk_mut(
         &mut out,
         tile,
         SCAN_CELL_COST * input.len() as u64,
@@ -215,7 +215,7 @@ impl DiscreteChannel {
         let mut row_sums = vec![0.0; input.len()];
         {
             let marginal = &marginal;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
+            dplearn_parallel::par_for_each_chunk_mut(
                 &mut row_sums,
                 tile,
                 MI_CELL_COST * ny as u64,
@@ -293,7 +293,7 @@ impl DiscreteChannel {
         let (input, kernel, ny) = (self.input(), self.kernel_flat(), self.n_outputs());
         let tile = validate_tile(tile)?.min(ny);
         let n_tiles = ny.div_ceil(tile);
-        let total = dplearn_parallel::par_map_reduce_with_cost(
+        let total = dplearn_parallel::par_map_reduce(
             n_tiles,
             SCAN_CELL_COST.saturating_mul((tile * input.len()) as u64),
             0.0f64,
@@ -361,7 +361,7 @@ impl DiscreteChannel {
         let nx = self.n_inputs();
         let tile = validate_tile(tile)?.min(nx);
         let (kernel, ny) = (self.kernel_flat(), self.n_outputs());
-        let survivors = dplearn_parallel::par_map_reduce_with_cost(
+        let survivors = dplearn_parallel::par_map_reduce(
             ny.div_ceil(EPS_BLOCK),
             SCAN_CELL_COST.saturating_mul((EPS_BLOCK as u64).saturating_mul(nx as u64)),
             Some(Vec::new()),
@@ -376,7 +376,7 @@ impl DiscreteChannel {
             return Ok(f64::INFINITY);
         };
         let cells: u64 = runs.iter().map(|run| run.len() as u64).sum();
-        let worst = dplearn_parallel::par_map_reduce_with_cost(
+        let worst = dplearn_parallel::par_map_reduce(
             nx.div_ceil(tile),
             RATIO_CELL_COST
                 .saturating_mul(tile as u64)

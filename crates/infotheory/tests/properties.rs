@@ -1,10 +1,11 @@
 //! Property-based tests for the information-theory crate.
 
-use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, lagrangian};
+use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, lagrangian, BaOptions};
 use dplearn_infotheory::channel::DiscreteChannel;
 use dplearn_infotheory::entropy::{cross_entropy, entropy};
 use dplearn_infotheory::fano::fano_error_lower_bound;
 use dplearn_infotheory::mutual_information::mi_from_joint;
+use dplearn_telemetry::NoopRecorder;
 use proptest::prelude::*;
 
 fn normalize(raw: &[f64]) -> Vec<f64> {
@@ -98,7 +99,8 @@ proptest! {
         // BA's marginal converges linearly but the rate can be close to 1
         // for near-redundant reproduction symbols; 1e-9 on the marginal is
         // comfortably tighter than the 1e-8 Lagrangian tolerance below.
-        let rd = blahut_arimoto(&src, &dist_raw, beta, 1e-9, 200_000).unwrap();
+        let opts = BaOptions::new(1e-9, 200_000);
+        let rd = blahut_arimoto(&src, &dist_raw, beta, &opts, &NoopRecorder).unwrap();
         let opt = rd.rate + beta * rd.distortion;
         for y in 0..3 {
             let kernel: Vec<Vec<f64>> = (0..3)

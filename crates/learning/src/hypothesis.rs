@@ -162,7 +162,7 @@ impl<P: Predictor> FiniteClass<P> {
                 .map(|h| empirical_risk(h, loss, data))
                 .collect();
         }
-        dplearn_parallel::par_map(&self.hypotheses, |_, h| empirical_risk(h, loss, data))
+        dplearn_parallel::par_map(&self.hypotheses, 0, |_, h| empirical_risk(h, loss, data))
     }
 }
 

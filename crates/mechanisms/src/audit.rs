@@ -18,7 +18,7 @@
 use crate::{MechanismError, Result};
 use dplearn_numerics::rng::{Rng, Xoshiro256};
 use dplearn_numerics::stats::Histogram;
-use dplearn_telemetry::{NoopRecorder, Recorder, SpanTimer};
+use dplearn_telemetry::{Recorder, SpanTimer};
 
 /// Outcome of a privacy audit on one neighbor pair.
 #[derive(Debug, Clone, Copy)]
@@ -90,10 +90,8 @@ where
     let mut counts_d = vec![0u64; support_size];
     let mut counts_dp = vec![0u64; support_size];
     for _ in 0..trials {
-        let a = mech_d(rng);
-        let b = mech_d_prime(rng);
-        counts_d[a] += 1;
-        counts_dp[b] += 1;
+        tally(&mut counts_d, mech_d(rng), "mech_d")?;
+        tally(&mut counts_dp, mech_d_prime(rng), "mech_d_prime")?;
     }
     let eps = smoothed_max_log_ratio(&counts_d, &counts_dp, trials);
     Ok(AuditResult {
@@ -101,6 +99,20 @@ where
         trials,
         support_size,
     })
+}
+
+/// Count `outcome` in `counts`. An outcome outside the support is a
+/// broken mechanism, which the audit reports instead of indexing with it.
+fn tally(counts: &mut [u64], outcome: usize, mech: &'static str) -> Result<()> {
+    let support_size = counts.len();
+    let slot = counts
+        .get_mut(outcome)
+        .ok_or_else(|| MechanismError::InvalidParameter {
+            name: mech,
+            reason: format!("returned outcome {outcome}, outside the support 0..{support_size}"),
+        })?;
+    *slot += 1;
+    Ok(())
 }
 
 /// Monte-Carlo audit of a mechanism with **continuous scalar** outputs,
@@ -269,32 +281,19 @@ impl AuditConfig {
 ///
 /// Each chunk accumulates local count vectors with its own jump-derived
 /// RNG stream; chunk counts are merged in chunk order, so the result
-/// depends only on `(cfg, seed)`, never on `DPLEARN_THREADS`.
-pub fn audit_discrete_par<F, G>(
-    mech_d: F,
-    mech_d_prime: G,
-    support_size: usize,
-    cfg: &AuditConfig,
-    seed: u64,
-) -> Result<AuditResult>
-where
-    F: Fn(&mut Xoshiro256) -> usize + Sync,
-    G: Fn(&mut Xoshiro256) -> usize + Sync,
-{
-    audit_discrete_par_recorded(mech_d, mech_d_prime, support_size, cfg, seed, &NoopRecorder)
-}
-
-/// [`audit_discrete_par`] with telemetry: counts audit runs, trials, and
-/// chunks under the `mechanisms.audit.*` names (label `discrete`),
-/// records the estimated ε̂ in the
-/// `mechanisms.audit.empirical_epsilon{discrete}` histogram, and times
-/// the whole audit with a `mechanisms.audit.wall{discrete}` span.
+/// depends only on `(cfg, seed)`, never on `DPLEARN_THREADS`. An outcome
+/// outside `0..support_size` is an error, the first in chunk order.
 ///
-/// All values are recorded after the chunk counts are merged in chunk
-/// order, so recorded values are bit-identical at every
+/// Telemetry: counts audit runs, trials, and chunks under the
+/// `mechanisms.audit.*` names (label `discrete`), records the estimated
+/// ε̂ in the `mechanisms.audit.empirical_epsilon{discrete}` histogram,
+/// and times the whole audit with a `mechanisms.audit.wall{discrete}`
+/// span. All values are recorded after the chunk counts are merged in
+/// chunk order, so recorded values are bit-identical at every
 /// `DPLEARN_THREADS` setting (span timings are wall-clock and excluded
-/// from snapshot comparison by design).
-pub fn audit_discrete_par_recorded<F, G>(
+/// from snapshot comparison by design). A caller that does not observe
+/// passes `&NoopRecorder`.
+pub fn audit_discrete_par<F, G>(
     mech_d: F,
     mech_d_prime: G,
     support_size: usize,
@@ -317,27 +316,30 @@ where
     let streams = Xoshiro256::jump_streams(seed, cfg.n_chunks());
     let (counts_d, counts_dp) = dplearn_parallel::par_map_reduce(
         cfg.n_chunks(),
-        (vec![0u64; support_size], vec![0u64; support_size]),
-        |k| {
+        0,
+        Ok((vec![0u64; support_size], vec![0u64; support_size])),
+        |k| -> Result<(Vec<u64>, Vec<u64>)> {
             let mut rng = streams[k].clone();
             let mut local_d = vec![0u64; support_size];
             let mut local_dp = vec![0u64; support_size];
             for _ in 0..cfg.chunk_trials(k) {
-                local_d[mech_d(&mut rng)] += 1;
-                local_dp[mech_d_prime(&mut rng)] += 1;
+                tally(&mut local_d, mech_d(&mut rng), "mech_d")?;
+                tally(&mut local_dp, mech_d_prime(&mut rng), "mech_d_prime")?;
             }
-            (local_d, local_dp)
+            Ok((local_d, local_dp))
         },
-        |(mut acc_d, mut acc_dp), (local_d, local_dp)| {
+        |acc: Result<_>, local| {
+            let (mut acc_d, mut acc_dp) = acc?;
+            let (local_d, local_dp) = local?;
             for (a, l) in acc_d.iter_mut().zip(&local_d) {
                 *a += l;
             }
             for (a, l) in acc_dp.iter_mut().zip(&local_dp) {
                 *a += l;
             }
-            (acc_d, acc_dp)
+            Ok((acc_d, acc_dp))
         },
-    );
+    )?;
     let eps = smoothed_max_log_ratio(&counts_d, &counts_dp, cfg.trials);
     if recorder.enabled() {
         recorder.counter_add("mechanisms.audit.runs", "discrete", 1);
@@ -356,28 +358,11 @@ where
 /// — the deterministic parallel counterpart of [`audit_continuous`].
 ///
 /// Per-chunk histograms are accumulated locally and merged in chunk
-/// order; see [`AuditConfig`] for the determinism contract.
-pub fn audit_continuous_par<F, G>(
-    mech_d: F,
-    mech_d_prime: G,
-    lo: f64,
-    hi: f64,
-    bins: usize,
-    cfg: &AuditConfig,
-    seed: u64,
-) -> Result<AuditResult>
-where
-    F: Fn(&mut Xoshiro256) -> f64 + Sync,
-    G: Fn(&mut Xoshiro256) -> f64 + Sync,
-{
-    audit_continuous_par_recorded(mech_d, mech_d_prime, lo, hi, bins, cfg, seed, &NoopRecorder)
-}
-
-/// [`audit_continuous_par`] with telemetry — the continuous counterpart
-/// of [`audit_discrete_par_recorded`], reporting under the same
-/// `mechanisms.audit.*` names with label `continuous`.
+/// order; see [`AuditConfig`] for the determinism contract. Telemetry as
+/// in [`audit_discrete_par`], under the same `mechanisms.audit.*` names
+/// with label `continuous`.
 #[allow(clippy::too_many_arguments)]
-pub fn audit_continuous_par_recorded<F, G>(
+pub fn audit_continuous_par<F, G>(
     mech_d: F,
     mech_d_prime: G,
     lo: f64,
@@ -399,6 +384,7 @@ where
     let streams = Xoshiro256::jump_streams(seed, cfg.n_chunks());
     let (counts_d, counts_dp) = dplearn_parallel::par_map_reduce(
         cfg.n_chunks(),
+        0,
         (vec![0u64; bins], vec![0u64; bins]),
         |k| {
             let mut rng = streams[k].clone();
@@ -559,6 +545,7 @@ mod tests {
     use crate::laplace::LaplaceMechanism;
     use crate::privacy::Epsilon;
     use dplearn_numerics::rng::Xoshiro256;
+    use dplearn_telemetry::{MemoryRecorder, NoopRecorder};
 
     #[test]
     fn max_log_ratio_basics() {
@@ -757,6 +744,7 @@ mod tests {
             40,
             &cfg,
             42,
+            &NoopRecorder,
         )
         .unwrap();
         assert!(
@@ -774,8 +762,15 @@ mod tests {
         let eps = Epsilon::new(1.5).unwrap();
         let rr = RandomizedResponse::new(eps, 2).unwrap();
         let cfg = AuditConfig::new(400_000);
-        let res =
-            audit_discrete_par(|r| rr.respond(0, r), |r| rr.respond(1, r), 2, &cfg, 7).unwrap();
+        let res = audit_discrete_par(
+            |r| rr.respond(0, r),
+            |r| rr.respond(1, r),
+            2,
+            &cfg,
+            7,
+            &NoopRecorder,
+        )
+        .unwrap();
         assert!(
             (res.empirical_epsilon - 1.5).abs() < 0.05,
             "ε̂ = {}",
@@ -797,6 +792,7 @@ mod tests {
                 30,
                 &cfg,
                 9,
+                &NoopRecorder,
             )
             .unwrap()
             .empirical_epsilon
@@ -812,7 +808,6 @@ mod tests {
 
     #[test]
     fn recorded_audits_match_plain_and_count_trials() {
-        use dplearn_telemetry::MemoryRecorder;
         let eps = Epsilon::new(1.0).unwrap();
         let m = LaplaceMechanism::new(eps, 1.0).unwrap();
         let cfg = AuditConfig::new(20_000).with_chunk_size(1 << 10);
@@ -825,9 +820,10 @@ mod tests {
             30,
             &cfg,
             9,
+            &NoopRecorder,
         )
         .unwrap();
-        let observed = audit_continuous_par_recorded(
+        let observed = audit_continuous_par(
             |r| m.release(0.0, r),
             |r| m.release(1.0, r),
             -6.0,
@@ -843,8 +839,7 @@ mod tests {
             observed.empirical_epsilon.to_bits(),
             plain.empirical_epsilon.to_bits()
         );
-        let _ =
-            audit_discrete_par_recorded(|_r| 0usize, |_r| 0usize, 2, &cfg, 9, &recorder).unwrap();
+        let _ = audit_discrete_par(|_r| 0usize, |_r| 0usize, 2, &cfg, 9, &recorder).unwrap();
 
         let snap = recorder.snapshot().unwrap();
         let counter = |key: &str| {
@@ -882,10 +877,46 @@ mod tests {
         assert!(AuditConfig::new(0).validate().is_err());
         assert!(AuditConfig::new(10).with_chunk_size(0).validate().is_err());
         assert!(AuditConfig::new(10).validate().is_ok());
-        assert!(audit_discrete_par(|_r| 0usize, |_r| 0usize, 0, &AuditConfig::new(10), 1).is_err());
+        let cfg = AuditConfig::new(10);
+        assert!(audit_discrete_par(|_r| 0usize, |_r| 0usize, 0, &cfg, 1, &NoopRecorder).is_err());
         assert!(
-            audit_continuous_par(|_r| 0.0, |_r| 0.0, 1.0, 0.0, 10, &AuditConfig::new(10), 1)
-                .is_err()
+            audit_continuous_par(|_r| 0.0, |_r| 0.0, 1.0, 0.0, 10, &cfg, 1, &NoopRecorder).is_err()
         );
+    }
+
+    #[test]
+    fn discrete_audits_reject_an_outcome_outside_the_support() {
+        // A broken mechanism that answers 2 on a support of size 2.
+        let rejected = |res: Result<AuditResult>, mech: &str| match res {
+            Err(MechanismError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, mech);
+                assert!(
+                    reason.contains("outcome 2") && reason.contains("0..2"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        let mut rng = Xoshiro256::seed_from(4);
+        rejected(
+            audit_discrete(|_r| 0usize, |_r| 2usize, 2, 100, &mut rng),
+            "mech_d_prime",
+        );
+        // The parallel audit fails the same way at every thread count,
+        // also when the mechanism leaves the support only rarely.
+        let cfg = AuditConfig::new(4_000).with_chunk_size(1_000);
+        let rare = |r: &mut Xoshiro256| if r.next_f64() < 1e-3 { 2 } else { 1 };
+        for threads in [1, 4] {
+            dplearn_parallel::set_thread_count(threads);
+            rejected(
+                audit_discrete_par(|_r| 2usize, |_r| 0usize, 2, &cfg, 5, &NoopRecorder),
+                "mech_d",
+            );
+            rejected(
+                audit_discrete_par(|_r| 1usize, rare, 2, &cfg, 5, &NoopRecorder),
+                "mech_d_prime",
+            );
+        }
+        dplearn_parallel::set_thread_count(0);
     }
 }

@@ -41,8 +41,9 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-// The Monte-Carlo audit estimators index histogram bins and neighbor lists
-// with loop counters bounded by lengths validated at entry.
+// The Monte-Carlo audit estimators index count vectors and RNG streams
+// with loop counters bounded by their lengths. A mechanism's outcome is
+// never such an index: it is checked against the support first.
 #[allow(clippy::indexing_slicing)]
 pub mod audit;
 pub mod composition;

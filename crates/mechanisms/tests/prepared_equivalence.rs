@@ -24,6 +24,7 @@ use dplearn_mechanisms::exponential::ExponentialMechanism;
 use dplearn_mechanisms::permute_and_flip::PermuteAndFlip;
 use dplearn_mechanisms::privacy::Epsilon;
 use dplearn_numerics::rng::{Rng, Xoshiro256};
+use dplearn_telemetry::NoopRecorder;
 use proptest::prelude::*;
 
 proptest! {
@@ -104,6 +105,7 @@ fn gumbel_fast_path_passes_empirical_epsilon_audit() {
         k,
         &cfg,
         0xFA57_9A7B,
+        &NoopRecorder,
     )
     .unwrap();
     assert!(
@@ -131,6 +133,7 @@ fn inverse_cdf_fast_path_passes_empirical_epsilon_audit() {
         k,
         &cfg,
         0x1CDF_2026,
+        &NoopRecorder,
     )
     .unwrap();
     assert!(

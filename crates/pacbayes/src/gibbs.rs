@@ -19,7 +19,7 @@ use crate::posterior::{DiagGaussian, FinitePosterior};
 use crate::{PacBayesError, Result};
 use dplearn_numerics::rng::Rng;
 use dplearn_robust::ConvergenceReport;
-use dplearn_telemetry::{NoopRecorder, Recorder};
+use dplearn_telemetry::Recorder;
 
 /// The exact Gibbs posterior over a finite class:
 /// `π̂_λ(i) ∝ π(i)·exp(−λ·risks[i])`, computed in log space.
@@ -378,26 +378,16 @@ where
     /// Returns per-chain samples (`chains[chain][draw][dim]`) plus
     /// pooled diagnostics with an R̂-style between/within-chain spread
     /// check.
-    pub fn sample_chains(
-        &self,
-        n_chains: usize,
-        seed: u64,
-    ) -> Result<(ChainPool, MultiChainDiagnostics)> {
-        self.sample_chains_recorded(n_chains, seed, &NoopRecorder)
-    }
-
-    /// [`MetropolisGibbs::sample_chains`] with telemetry: per-chain
-    /// acceptance rates (`pacbayes.mcmc.chain.acceptance` histogram),
-    /// pooled acceptance (`pacbayes.mcmc.pooled_acceptance` gauge), the
-    /// worst-dimension R̂ (`pacbayes.mcmc.rhat` histogram), and run/chain
-    /// counters.
     ///
-    /// All metrics are recorded from the sequential pooling path after
-    /// the parallel chains are merged in chain order, so recorded
-    /// *values* are bit-identical at every `DPLEARN_THREADS` setting
-    /// (span timings are wall-clock and excluded from snapshot
-    /// comparison by design).
-    pub fn sample_chains_recorded(
+    /// Telemetry: per-chain acceptance rates
+    /// (`pacbayes.mcmc.chain.acceptance` histogram), pooled acceptance
+    /// (`pacbayes.mcmc.pooled_acceptance` gauge), the worst-dimension R̂
+    /// (`pacbayes.mcmc.rhat` histogram), and run/chain counters. All are
+    /// recorded from the sequential pooling path after the parallel
+    /// chains are merged in chain order, so recorded values are
+    /// bit-identical at every `DPLEARN_THREADS` setting. A caller that
+    /// does not observe passes `&NoopRecorder`.
+    pub fn sample_chains(
         &self,
         n_chains: usize,
         seed: u64,
@@ -411,7 +401,7 @@ where
         }
         self.cfg.validate()?;
         let streams = dplearn_numerics::rng::Xoshiro256::jump_streams(seed, n_chains);
-        let runs: Vec<ChainRun> = dplearn_parallel::par_map(&streams, |_, stream| {
+        let runs: Vec<ChainRun> = dplearn_parallel::par_map(&streams, 0, |_, stream| {
             let mut rng = stream.clone();
             self.run(&mut rng)
         });
@@ -463,30 +453,16 @@ where
     /// With fewer than 2 chains or 2 retained samples R̂ is undefined;
     /// the watchdog then has nothing to act on and reports a trivially
     /// converged run with a `NaN` residual.
-    pub fn sample_chains_watched(
-        &self,
-        n_chains: usize,
-        seed: u64,
-        wd: &WatchdogConfig,
-    ) -> Result<(ChainPool, MultiChainDiagnostics, ConvergenceReport)> {
-        self.sample_chains_watched_recorded(n_chains, seed, wd, &NoopRecorder)
-    }
-
-    /// [`MetropolisGibbs::sample_chains_watched`] with telemetry: on top
-    /// of the base-run metrics of
-    /// [`MetropolisGibbs::sample_chains_recorded`], records the R̂
-    /// residual observed after every attempt
-    /// (`pacbayes.mcmc.rhat.trajectory` histogram), each proposal
+    ///
+    /// Telemetry: on top of the base run's metrics (see
+    /// [`MetropolisGibbs::sample_chains`]), the R̂ residual after every
+    /// attempt (`pacbayes.mcmc.rhat.trajectory` histogram), each proposal
     /// widening (`pacbayes.mcmc.widening_events` counter plus the number
     /// of re-run chains in `pacbayes.mcmc.rerun_chains`), the final
     /// attempt count and residual, and whether the pool was returned
-    /// degraded.
-    ///
-    /// The watchdog's retry decisions never depend on the recorder, and
-    /// every metric is recorded from the sequential retry loop — the
-    /// recorded values inherit the thread-count invariance of the
-    /// underlying sampler.
-    pub fn sample_chains_watched_recorded(
+    /// degraded — all from the sequential retry loop, and never read by
+    /// it.
+    pub fn sample_chains_watched(
         &self,
         n_chains: usize,
         seed: u64,
@@ -494,7 +470,7 @@ where
         recorder: &dyn Recorder,
     ) -> Result<(ChainPool, MultiChainDiagnostics, ConvergenceReport)> {
         wd.validate()?;
-        let (mut chains, mut diag) = self.sample_chains_recorded(n_chains, seed, recorder)?;
+        let (mut chains, mut diag) = self.sample_chains(n_chains, seed, recorder)?;
         let d = self.prior.dim();
         let n = self.cfg.n_samples;
         let per_run_iters = self.cfg.total_iterations();
@@ -541,7 +517,7 @@ where
                 initial_step: widened,
                 ..self.cfg.clone()
             };
-            let reruns: Vec<(usize, ChainRun)> = dplearn_parallel::par_map(&rerun, |_, &k| {
+            let reruns: Vec<(usize, ChainRun)> = dplearn_parallel::par_map(&rerun, 0, |_, &k| {
                 // `rerun` holds chain indices `< n_chains == streams.len()`;
                 // the fallback stream is unreachable.
                 let mut rng = streams
@@ -735,6 +711,7 @@ mod tests {
     use super::*;
     use dplearn_numerics::rng::Xoshiro256;
     use dplearn_numerics::stats;
+    use dplearn_telemetry::NoopRecorder;
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
@@ -1090,7 +1067,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (chains, diag) = mh.sample_chains(4, 271).unwrap();
+        let (chains, diag) = mh.sample_chains(4, 271, &NoopRecorder).unwrap();
         assert_eq!(chains.len(), 4);
         assert!(chains.iter().all(|c| c.len() == 1500));
         assert_eq!(diag.per_chain.len(), 4);
@@ -1125,7 +1102,7 @@ mod tests {
             },
         )
         .unwrap();
-        let run = |seed: u64| mh.sample_chains(3, seed).unwrap().0;
+        let run = |seed: u64| mh.sample_chains(3, seed, &NoopRecorder).unwrap().0;
         dplearn_parallel::set_thread_count(1);
         let one = run(5);
         dplearn_parallel::set_thread_count(4);
@@ -1133,7 +1110,7 @@ mod tests {
         dplearn_parallel::set_thread_count(0);
         assert_eq!(one, four, "chains must not depend on thread count");
         assert_ne!(run(5), run(6), "different seeds should differ");
-        assert!(mh.sample_chains(0, 1).is_err());
+        assert!(mh.sample_chains(0, 1, &NoopRecorder).is_err());
     }
 
     /// A sharply bimodal Gibbs target: modes at ±3, barrier high enough
@@ -1176,9 +1153,9 @@ mod tests {
             },
         )
         .unwrap();
-        let (plain, plain_diag) = mh.sample_chains(4, 271).unwrap();
+        let (plain, plain_diag) = mh.sample_chains(4, 271, &NoopRecorder).unwrap();
         let (chains, diag, report) = mh
-            .sample_chains_watched(4, 271, &WatchdogConfig::default())
+            .sample_chains_watched(4, 271, &WatchdogConfig::default(), &NoopRecorder)
             .unwrap();
         assert_eq!(chains, plain, "converged first try must be a pass-through");
         assert_eq!(diag.rhat, plain_diag.rhat);
@@ -1203,13 +1180,13 @@ mod tests {
         };
         // Establish the injected failure: the bare (unwatched) run on
         // this seed genuinely diverges.
-        let (_, bare_diag) = mh.sample_chains(4, 97).unwrap();
+        let (_, bare_diag) = mh.sample_chains(4, 97, &NoopRecorder).unwrap();
         let bare_worst = super::worst_rhat(&bare_diag.rhat);
         assert!(
             bare_worst > wd.rhat_threshold,
             "test premise: bare run should diverge, got R̂ = {bare_worst}"
         );
-        let (chains, diag, report) = mh.sample_chains_watched(4, 97, &wd).unwrap();
+        let (chains, diag, report) = mh.sample_chains_watched(4, 97, &wd, &NoopRecorder).unwrap();
         assert!(
             report.converged && !report.degraded,
             "watchdog should recover: {report}"
@@ -1237,7 +1214,10 @@ mod tests {
             max_attempts: 4,
             step_widen: 8.0,
         };
-        let run = |seed: u64| mh.sample_chains_watched(4, seed, &wd).unwrap();
+        let run = |seed: u64| {
+            mh.sample_chains_watched(4, seed, &wd, &NoopRecorder)
+                .unwrap()
+        };
         dplearn_parallel::set_thread_count(1);
         let (c1, d1, r1) = run(97);
         dplearn_parallel::set_thread_count(4);
@@ -1260,7 +1240,7 @@ mod tests {
             max_attempts: 2,
             step_widen: 1.0,
         };
-        let (chains, _diag, report) = mh.sample_chains_watched(4, 97, &wd).unwrap();
+        let (chains, _diag, report) = mh.sample_chains_watched(4, 97, &wd, &NoopRecorder).unwrap();
         assert!(!report.converged && report.degraded, "{report}");
         assert_eq!(report.attempts, 2);
         assert!(report.final_residual > wd.rhat_threshold);
@@ -1283,7 +1263,7 @@ mod tests {
         )
         .unwrap();
         let (chains, _diag, report) = mh
-            .sample_chains_watched(1, 7, &WatchdogConfig::default())
+            .sample_chains_watched(1, 7, &WatchdogConfig::default(), &NoopRecorder)
             .unwrap();
         assert_eq!(chains.len(), 1);
         assert_eq!(report.attempts, 1);
@@ -1314,7 +1294,7 @@ mod tests {
             },
         ] {
             assert!(
-                mh.sample_chains_watched(2, 1, &bad).is_err(),
+                mh.sample_chains_watched(2, 1, &bad, &NoopRecorder).is_err(),
                 "{bad:?} should be rejected"
             );
         }
@@ -1332,10 +1312,8 @@ mod tests {
             step_widen: 8.0,
         };
         let recorder = MemoryRecorder::new();
-        let (plain, _, plain_report) = mh.sample_chains_watched(4, 97, &wd).unwrap();
-        let (observed, _, report) = mh
-            .sample_chains_watched_recorded(4, 97, &wd, &recorder)
-            .unwrap();
+        let (plain, _, plain_report) = mh.sample_chains_watched(4, 97, &wd, &NoopRecorder).unwrap();
+        let (observed, _, report) = mh.sample_chains_watched(4, 97, &wd, &recorder).unwrap();
         // Observing the run must not change it.
         assert_eq!(observed, plain);
         assert_eq!(report, plain_report);

@@ -33,16 +33,16 @@
 //!
 //! # Adaptive serial cutover
 //!
-//! The `*_with_cost` variants take a per-item **cost hint** in
-//! arbitrary work units (roughly nanoseconds of compute). When
-//! `items × hint` falls below [`par_threshold`], the call runs serially
-//! and skips dispatch entirely — small problems should never pay even
-//! microseconds of coordination. A hint of `0` means "cost unknown" and
-//! always parallelizes (the behavior of the hint-less signatures), which
-//! protects callers with few but very expensive items, like the engine
-//! batch executor. The cutover decision depends only on the problem
-//! size and the hint — never on the thread count — so it is itself
-//! deterministic and thread-invariant.
+//! Every entry point except [`par_for_each_mut`] takes a per-item (or
+//! per-chunk) **cost hint** in arbitrary work units (roughly nanoseconds
+//! of compute). When `items × hint` falls below [`par_threshold`], the
+//! call runs serially and skips dispatch entirely — small problems
+//! should never pay even microseconds of coordination. A hint of `0`
+//! means "cost unknown" and always parallelizes, which protects callers
+//! with few but very expensive items, like the engine batch executor.
+//! The cutover decision depends only on the problem size and the hint —
+//! never on the thread count — so it is itself deterministic and
+//! thread-invariant.
 //!
 //! # Thread-count resolution
 //!
@@ -74,7 +74,7 @@ pub use pool::in_pool_section;
 
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use dplearn_telemetry::Recorder;
 
@@ -126,16 +126,9 @@ pub fn thread_count() -> usize {
 
 /// The serial-cutover threshold in cost units (≈ nanoseconds of
 /// compute): a parallel call whose `items × cost_hint` falls below this
-/// runs serially. Defaults to 32 768; overridable once per process via
-/// the `DPLEARN_PAR_THRESHOLD` environment variable.
-pub fn par_threshold() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("DPLEARN_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(32_768)
-    })
+/// runs serially.
+pub const fn par_threshold() -> u64 {
+    32_768
 }
 
 /// Fast guard so the no-recorder hot path is one relaxed atomic load.
@@ -233,18 +226,10 @@ fn dispatch(workers: usize, task: &(dyn Fn() + Sync)) {
 /// order. `f(i)` must depend only on `i` (plus captured immutable state)
 /// for the determinism contract to hold; scheduling across workers is
 /// arbitrary, but the returned `Vec` is always `[f(0), f(1), …]`.
-pub fn par_map_indexed<T, F>(n_chunks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with_cost(n_chunks, 0, f)
-}
-
-/// [`par_map_indexed`] with a per-chunk cost hint (≈ nanoseconds; 0 =
-/// unknown = always parallelize) feeding the [`par_threshold`] serial
+/// `chunk_cost_hint` is the cost of one chunk (≈ nanoseconds; 0 =
+/// unknown = always parallelize), feeding the [`par_threshold`] serial
 /// cutover.
-pub fn par_map_indexed_with_cost<T, F>(n_chunks: usize, chunk_cost_hint: u64, f: F) -> Vec<T>
+pub fn par_map_indexed<T, F>(n_chunks: usize, chunk_cost_hint: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -293,19 +278,10 @@ where
 /// index), preserving order. Items are grouped into contiguous blocks to
 /// amortize scheduling; block boundaries depend only on `items.len()`,
 /// so output is thread-count invariant whenever `f` is a pure function
-/// of `(index, item)`.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_with_cost(items, 0, f)
-}
-
-/// [`par_map`] with a per-item cost hint (≈ nanoseconds; 0 = unknown =
-/// always parallelize) feeding the [`par_threshold`] serial cutover.
-pub fn par_map_with_cost<T, U, F>(items: &[T], item_cost_hint: u64, f: F) -> Vec<U>
+/// of `(index, item)`. `item_cost_hint` is the cost of one item
+/// (≈ nanoseconds; 0 = unknown = always parallelize), feeding the
+/// [`par_threshold`] serial cutover.
+pub fn par_map<T, U, F>(items: &[T], item_cost_hint: u64, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -360,20 +336,8 @@ where
 /// chunk results **strictly in chunk order** with `fold`, starting from
 /// `init`. The fold order is part of the determinism contract: floating-
 /// point accumulation happens in the same association at any thread
-/// count.
-pub fn par_map_reduce<A, T, FM, FR>(n_chunks: usize, init: A, map: FM, fold: FR) -> A
-where
-    T: Send,
-    FM: Fn(usize) -> T + Sync,
-    FR: FnMut(A, T) -> A,
-{
-    par_map_indexed(n_chunks, map).into_iter().fold(init, fold)
-}
-
-/// [`par_map_reduce`] with a per-chunk cost hint (≈ nanoseconds; 0 =
-/// unknown = always parallelize) feeding the [`par_threshold`] serial
-/// cutover.
-pub fn par_map_reduce_with_cost<A, T, FM, FR>(
+/// count. `chunk_cost_hint` is as in [`par_map_indexed`].
+pub fn par_map_reduce<A, T, FM, FR>(
     n_chunks: usize,
     chunk_cost_hint: u64,
     init: A,
@@ -385,7 +349,7 @@ where
     FM: Fn(usize) -> T + Sync,
     FR: FnMut(A, T) -> A,
 {
-    par_map_indexed_with_cost(n_chunks, chunk_cost_hint, map)
+    par_map_indexed(n_chunks, chunk_cost_hint, map)
         .into_iter()
         .fold(init, fold)
 }
@@ -395,23 +359,11 @@ where
 /// every `chunk_size` elements, independent of the worker count. Because
 /// each chunk is written exactly once by a pure function of its inputs,
 /// the final contents of `items` are thread-count invariant.
-pub fn par_for_each_chunk_mut<T, F>(items: &mut [T], chunk_size: usize, f: F)
+/// `item_cost_hint` is the cost of one element (≈ nanoseconds; 0 =
+/// unknown = always parallelize), feeding the [`par_threshold`] serial
+/// cutover.
+pub fn par_for_each_chunk_mut<T, F>(items: &mut [T], chunk_size: usize, item_cost_hint: u64, f: F)
 where
-    T: Send,
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    par_for_each_chunk_mut_with_cost(items, chunk_size, 0, f);
-}
-
-/// [`par_for_each_chunk_mut`] with a per-item cost hint (≈ nanoseconds;
-/// 0 = unknown = always parallelize) feeding the [`par_threshold`]
-/// serial cutover.
-pub fn par_for_each_chunk_mut_with_cost<T, F>(
-    items: &mut [T],
-    chunk_size: usize,
-    item_cost_hint: u64,
-    f: F,
-) where
     T: Send,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
@@ -473,7 +425,7 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    par_for_each_chunk_mut(items, 1, |_chunk, start, chunk_items| {
+    par_for_each_chunk_mut(items, 1, 0, |_chunk, start, chunk_items| {
         for (offset, item) in chunk_items.iter_mut().enumerate() {
             f(start + offset, item);
         }
@@ -510,7 +462,7 @@ mod tests {
 
     #[test]
     fn par_map_indexed_preserves_order() {
-        invariant_over_threads(|| par_map_indexed(100, |i| i * i));
+        invariant_over_threads(|| par_map_indexed(100, 0, |i| i * i));
     }
 
     #[test]
@@ -518,7 +470,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 17).collect();
         invariant_over_threads(|| {
-            let got = par_map(&items, |i, &x| {
+            let got = par_map(&items, 0, |i, &x| {
                 assert_eq!(items[i], x);
                 x.wrapping_mul(x) ^ 17
             });
@@ -532,7 +484,13 @@ mod tests {
         // String concatenation is order-sensitive: any out-of-order merge
         // would be caught immediately.
         invariant_over_threads(|| {
-            par_map_reduce(37, String::new(), |i| format!("[{i}]"), |acc, s| acc + &s)
+            par_map_reduce(
+                37,
+                0,
+                String::new(),
+                |i| format!("[{i}]"),
+                |acc, s| acc + &s,
+            )
         });
     }
 
@@ -545,6 +503,7 @@ mod tests {
             set_thread_count(threads);
             let total = par_map_reduce(
                 64,
+                0,
                 0.0f64,
                 |i| {
                     let mut s = 0.0f64;
@@ -567,7 +526,7 @@ mod tests {
     fn par_for_each_chunk_mut_writes_every_slot() {
         invariant_over_threads(|| {
             let mut data = vec![0u64; 257];
-            par_for_each_chunk_mut(&mut data, 16, |_i, start, chunk| {
+            par_for_each_chunk_mut(&mut data, 16, 0, |_i, start, chunk| {
                 for (k, v) in chunk.iter_mut().enumerate() {
                     *v = (start + k) as u64 + 1;
                 }
@@ -600,11 +559,11 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(par_map_indexed(0, |i| i).is_empty());
-        assert_eq!(par_map_indexed(1, |i| i + 5), vec![5]);
+        assert!(par_map_indexed(0, 0, |i| i).is_empty());
+        assert_eq!(par_map_indexed(1, 0, |i| i + 5), vec![5]);
         let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, |_, &x| x).is_empty());
-        assert_eq!(par_map_reduce(0, 42i32, |_| 1, |a, b| a + b), 42);
+        assert!(par_map(&empty, 0, |_, &x| x).is_empty());
+        assert_eq!(par_map_reduce(0, 0, 42i32, |_| 1, |a, b| a + b), 42);
     }
 
     #[test]
@@ -629,8 +588,8 @@ mod tests {
         // Two back-to-back dispatches on the same (now-warm) pool must
         // each produce the serial result — the pool-reuse contract.
         invariant_over_threads(|| {
-            let a = par_map_indexed(200, |i| (i as f64).sqrt().to_bits());
-            let b = par_map_indexed(200, |i| (i as f64).sqrt().to_bits());
+            let a = par_map_indexed(200, 0, |i| (i as f64).sqrt().to_bits());
+            let b = par_map_indexed(200, 0, |i| (i as f64).sqrt().to_bits());
             assert_eq!(a, b);
             a
         });
@@ -645,11 +604,11 @@ mod tests {
 
         // Tiny total cost → serial cutover (threshold is 32_768 units).
         let items: Vec<u64> = (0..100).collect();
-        let cheap = par_map_with_cost(&items, 1, |_, &x| x + 1);
+        let cheap = par_map(&items, 1, |_, &x| x + 1);
         assert_eq!(cheap, (1..=100).collect::<Vec<u64>>());
 
         // Huge per-item cost → no cutover; the pool dispatches.
-        let dear = par_map_with_cost(&items, 1_000_000, |_, &x| x + 1);
+        let dear = par_map(&items, 1_000_000, |_, &x| x + 1);
         assert_eq!(dear, cheap);
 
         set_pool_recorder(None);
@@ -675,7 +634,7 @@ mod tests {
         set_pool_recorder(Some(recorder.clone()));
         // Cost 0 = unknown: even a tiny problem may dispatch (protects
         // few-items-expensive-work callers like the engine batch path).
-        let got = par_map_indexed_with_cost(8, 0, |i| i);
+        let got = par_map_indexed(8, 0, |i| i);
         assert_eq!(got, (0..8).collect::<Vec<usize>>());
         set_pool_recorder(None);
         set_thread_count(0);
@@ -691,8 +650,8 @@ mod tests {
         invariant_over_threads(|| {
             // Outer parallel call; each chunk performs a nested parallel
             // call, which must run serially inside the pool section.
-            par_map_indexed(8, |i| {
-                let inner = par_map_indexed(8, move |j| (i * 8 + j) as u64);
+            par_map_indexed(8, 0, |i| {
+                let inner = par_map_indexed(8, 0, move |j| (i * 8 + j) as u64);
                 assert!(in_pool_section() || thread_count() == 1 || inner.len() == 8);
                 inner.iter().sum::<u64>()
             })
@@ -704,7 +663,7 @@ mod tests {
         let _guard = override_lock();
         set_thread_count(4);
         let result = std::panic::catch_unwind(|| {
-            par_map_indexed(64, |i| {
+            par_map_indexed(64, 0, |i| {
                 if i == 13 {
                     panic!("chunk 13 failed");
                 }
@@ -713,7 +672,7 @@ mod tests {
         });
         assert!(result.is_err());
         // The pool must still work after the panicked dispatch.
-        let ok = par_map_indexed(64, |i| i * 2);
+        let ok = par_map_indexed(64, 0, |i| i * 2);
         assert_eq!(ok.len(), 64);
         assert_eq!(ok[13], 26);
         set_thread_count(0);

@@ -16,10 +16,10 @@
 //!   [`dplearn_numerics::rng::Rng`] to splice extreme raw draws into a
 //!   random stream.
 //! * [`retry`] — [`retry::RetryPolicy`] (bounded restarts with geometric
-//!   iteration-budget growth and damped re-initialization) and
+//!   iteration-budget growth and damped re-initialization), which
+//!   schedules the Blahut–Arimoto solver's restarts, and
 //!   [`retry::ConvergenceReport`] (attempts, residual, degraded-mode
-//!   flag), shared by the Blahut–Arimoto solver and the multi-chain
-//!   Metropolis–Hastings watchdog.
+//!   flag), which the multi-chain Metropolis–Hastings watchdog returns.
 //!
 //! # Example: asserting a mechanism survives a fault class
 //!

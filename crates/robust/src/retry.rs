@@ -133,22 +133,9 @@ pub struct ConvergenceReport {
     pub degraded: bool,
     /// Total iterations consumed across all attempts.
     pub total_iterations: usize,
-    /// Final convergence residual (solver-specific: ℓ∞ marginal gap for
-    /// Blahut–Arimoto, worst-dimension R̂ for the MCMC watchdog).
+    /// Final convergence residual (solver-specific: the worst-dimension
+    /// R̂ for the MCMC watchdog).
     pub final_residual: f64,
-}
-
-impl ConvergenceReport {
-    /// A report for a run that converged on its first attempt.
-    pub fn first_try(iterations: usize, residual: f64) -> Self {
-        ConvergenceReport {
-            attempts: 1,
-            converged: true,
-            degraded: false,
-            total_iterations: iterations,
-            final_residual: residual,
-        }
-    }
 }
 
 impl std::fmt::Display for ConvergenceReport {
@@ -286,8 +273,13 @@ mod tests {
 
     #[test]
     fn report_display_and_first_try() {
-        let r = ConvergenceReport::first_try(42, 1e-13);
-        assert!(r.converged && !r.degraded && r.attempts == 1);
+        let r = ConvergenceReport {
+            attempts: 1,
+            converged: true,
+            degraded: false,
+            total_iterations: 42,
+            final_residual: 1e-13,
+        };
         let s = r.to_string();
         assert!(s.contains("attempts=1"), "{s}");
     }

@@ -10,7 +10,8 @@
 
 use dplearn_robust::{FaultClass, FaultPlan};
 
-use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_with_retry};
+use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
+use dplearn_infotheory::InfoError;
 use dplearn_learning::data::{Dataset, Example};
 use dplearn_learning::erm::erm_finite;
 use dplearn_learning::hypothesis::{FiniteClass, ThresholdClassifier};
@@ -34,6 +35,7 @@ use dplearn_pacbayes::bounds::{catoni_bound, maurer_bound, mcallester_bound};
 use dplearn_pacbayes::gibbs::{gibbs_finite, MetropolisGibbs, MhConfig, WatchdogConfig};
 use dplearn_pacbayes::posterior::{DiagGaussian, FinitePosterior};
 use dplearn_robust::RetryPolicy;
+use dplearn_telemetry::NoopRecorder;
 
 /// True for the fault classes whose injected values are non-finite — the
 /// ones a validating constructor is *required* to reject.
@@ -265,17 +267,22 @@ fn retry_restarts_do_not_leak_pool_state() {
     };
     let source = [0.2, 0.8];
     let distortion = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-    let (_, report) = blahut_arimoto_with_retry(&source, &distortion, 5.0, 1e-13, &policy)
+    let opts = BaOptions {
+        tol: 1e-13,
+        retry: policy,
+        tiles: BaTileOptions::default(),
+    };
+    let rd = blahut_arimoto(&source, &distortion, 5.0, &opts, &NoopRecorder)
         .expect("retry should converge");
-    assert!(report.attempts > 1, "premise: restarts must happen");
+    assert!(rd.attempts > 1, "premise: restarts must happen");
     assert!(
         !dplearn_parallel::in_pool_section(),
         "pool section flag leaked across retry restarts"
     );
     // The pool is still healthy: a fresh dispatch matches serial bits.
-    let pooled = dplearn_parallel::par_map_indexed(100, |i| ((i as f64) + 0.5).sqrt().to_bits());
+    let pooled = dplearn_parallel::par_map_indexed(100, 0, |i| ((i as f64) + 0.5).sqrt().to_bits());
     dplearn_parallel::set_thread_count(1);
-    let serial = dplearn_parallel::par_map_indexed(100, |i| ((i as f64) + 0.5).sqrt().to_bits());
+    let serial = dplearn_parallel::par_map_indexed(100, 0, |i| ((i as f64) + 0.5).sqrt().to_bits());
     dplearn_parallel::set_thread_count(0);
     assert_eq!(pooled, serial);
 }
@@ -302,8 +309,9 @@ fn blahut_arimoto_under_all_fault_classes() {
             vec![4.0, 1.0, 0.0],
             vec![2.0, 2.0, 2.0],
         ];
+        let plain = BaOptions::new(1e-9, 500);
         assert!(
-            blahut_arimoto(&source, &distortion, 1.0, 1e-9, 500).is_err(),
+            blahut_arimoto(&source, &distortion, 1.0, &plain, &NoopRecorder).is_err(),
             "{class}: corrupted source must be rejected"
         );
 
@@ -316,26 +324,63 @@ fn blahut_arimoto_under_all_fault_classes() {
             .with_seed(4)
             .random(2)
             .corrupt_matrix(&mut d);
-        let run = blahut_arimoto_with_retry(&clean_source, &d, 1.0, 1e-9, &policy);
+        let retried = BaOptions {
+            tol: 1e-9,
+            retry: policy.clone(),
+            tiles: BaTileOptions::default(),
+        };
+        let run = blahut_arimoto(&clean_source, &d, 1.0, &retried, &NoopRecorder);
         if nonfinite(class) {
             assert!(
                 run.is_err(),
                 "{class}: non-finite distortion must be rejected"
             );
-        } else if let Ok((rd, report)) = run {
+        } else if let Ok(rd) = run {
             assert!(
                 rd.rate.is_finite() && rd.distortion.is_finite(),
                 "{class}: solver must not leak non-finite rate/distortion"
             );
-            assert!(report.attempts >= 1);
+            assert!(rd.attempts >= 1);
         }
 
         // Corrupted β.
         if nonfinite(class) {
             assert!(
-                blahut_arimoto(&clean_source, &distortion, class.value(0), 1e-9, 500).is_err(),
+                blahut_arimoto(
+                    &clean_source,
+                    &distortion,
+                    class.value(0),
+                    &plain,
+                    &NoopRecorder
+                )
+                .is_err(),
                 "{class}: non-finite beta must be rejected"
             );
+        }
+
+        // Corrupted tolerance, both signs: a NaN or negative one is a
+        // typed rejection naming `tol`, not a budget burned to
+        // DidNotConverge; any other must solve or fail typed.
+        for k in 0..2 {
+            let tol = class.value(k);
+            let run = blahut_arimoto(
+                &clean_source,
+                &distortion,
+                1.0,
+                &BaOptions::new(tol, 500),
+                &NoopRecorder,
+            );
+            if tol.is_nan() || tol < 0.0 {
+                assert!(
+                    matches!(run, Err(InfoError::InvalidParameter { name: "tol", .. })),
+                    "{class}: tol {tol} must be rejected, got {run:?}"
+                );
+            } else if let Ok(rd) = run {
+                assert!(
+                    rd.rate.is_finite() && rd.distortion.is_finite(),
+                    "{class}: tol {tol} leaked a non-finite rate/distortion"
+                );
+            }
         }
     }
 }
@@ -385,7 +430,7 @@ fn metropolis_gibbs_watchdog_survives_faulty_risk_functions() {
             step_widen: 2.0,
         };
         let (chains, diag, report) = mh
-            .sample_chains_watched(3, 13, &wd)
+            .sample_chains_watched(3, 13, &wd, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{class}: watchdog errored: {e}"));
         assert_eq!(chains.len(), 3);
         assert!(report.attempts >= 1 && report.attempts <= 2);

@@ -118,6 +118,7 @@ fn parallel_continuous_audit_is_thread_count_invariant() {
     use dplearn::mechanisms::audit::{audit_continuous_par, AuditConfig};
     use dplearn::mechanisms::laplace::LaplaceMechanism;
     use dplearn::mechanisms::privacy::Epsilon;
+    use dplearn::telemetry::NoopRecorder;
     let m = LaplaceMechanism::new(Epsilon::new(1.0).unwrap(), 1.0).unwrap();
     // Small chunks force many chunks, exercising the ordered merge.
     let cfg = AuditConfig::new(50_000).with_chunk_size(1 << 12);
@@ -130,6 +131,7 @@ fn parallel_continuous_audit_is_thread_count_invariant() {
             30,
             &cfg,
             99,
+            &NoopRecorder,
         )
         .unwrap()
         .empirical_epsilon
@@ -142,13 +144,21 @@ fn parallel_discrete_audit_is_thread_count_invariant() {
     use dplearn::mechanisms::audit::{audit_discrete_par, AuditConfig};
     use dplearn::mechanisms::privacy::Epsilon;
     use dplearn::mechanisms::randomized_response::RandomizedResponse;
+    use dplearn::telemetry::NoopRecorder;
     let rr = RandomizedResponse::new(Epsilon::new(0.8).unwrap(), 2).unwrap();
     let cfg = AuditConfig::new(40_000).with_chunk_size(1 << 12);
     assert_thread_count_invariant(|| {
-        audit_discrete_par(|r| rr.respond(0, r), |r| rr.respond(1, r), 2, &cfg, 7)
-            .unwrap()
-            .empirical_epsilon
-            .to_bits()
+        audit_discrete_par(
+            |r| rr.respond(0, r),
+            |r| rr.respond(1, r),
+            2,
+            &cfg,
+            7,
+            &NoopRecorder,
+        )
+        .unwrap()
+        .empirical_epsilon
+        .to_bits()
     });
 }
 
@@ -156,6 +166,7 @@ fn parallel_discrete_audit_is_thread_count_invariant() {
 fn multi_chain_gibbs_is_thread_count_invariant() {
     use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
     use dplearn::pacbayes::posterior::DiagGaussian;
+    use dplearn::telemetry::NoopRecorder;
     let prior = DiagGaussian::isotropic(2, 1.0).unwrap();
     let emp_risk = |theta: &[f64]| theta.iter().map(|t| (t - 0.4).powi(2)).sum::<f64>();
     let cfg = MhConfig {
@@ -166,7 +177,7 @@ fn multi_chain_gibbs_is_thread_count_invariant() {
     };
     let mh = MetropolisGibbs::new(&prior, emp_risk, 4.0, cfg).unwrap();
     assert_thread_count_invariant(|| {
-        let (chains, diag) = mh.sample_chains(4, 31).unwrap();
+        let (chains, diag) = mh.sample_chains(4, 31, &NoopRecorder).unwrap();
         let bits: Vec<Vec<Vec<u64>>> = chains
             .iter()
             .map(|c| {
@@ -182,7 +193,8 @@ fn multi_chain_gibbs_is_thread_count_invariant() {
 
 #[test]
 fn blahut_arimoto_is_thread_count_invariant() {
-    use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
+    use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions};
+    use dplearn::telemetry::NoopRecorder;
     let source = [0.2, 0.5, 0.3];
     let distortion = vec![
         vec![0.0, 0.8, 1.2],
@@ -190,7 +202,8 @@ fn blahut_arimoto_is_thread_count_invariant() {
         vec![1.1, 0.6, 0.0],
     ];
     assert_thread_count_invariant(|| {
-        let rd = blahut_arimoto(&source, &distortion, 2.5, 1e-12, 50_000).unwrap();
+        let opts = BaOptions::new(1e-12, 50_000);
+        let rd = blahut_arimoto(&source, &distortion, 2.5, &opts, &NoopRecorder).unwrap();
         let kernel_bits: Vec<Vec<u64>> = rd
             .channel
             .rows()
@@ -237,6 +250,7 @@ fn substreams_are_independent_of_evaluation_order() {
 fn watched_gibbs_sampling_is_thread_count_invariant() {
     use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig, WatchdogConfig};
     use dplearn::pacbayes::posterior::DiagGaussian;
+    use dplearn::telemetry::NoopRecorder;
     let prior = DiagGaussian::isotropic(2, 1.0).unwrap();
     let emp_risk = |theta: &[f64]| theta.iter().map(|t| (t - 0.4).powi(2)).sum::<f64>();
     let cfg = MhConfig {
@@ -255,7 +269,7 @@ fn watched_gibbs_sampling_is_thread_count_invariant() {
         step_widen: 1.5,
     };
     assert_thread_count_invariant(|| {
-        let (chains, diag, report) = mh.sample_chains_watched(4, 31, &wd).unwrap();
+        let (chains, diag, report) = mh.sample_chains_watched(4, 31, &wd, &NoopRecorder).unwrap();
         let bits: Vec<Vec<Vec<u64>>> = chains
             .iter()
             .map(|c| {
@@ -461,8 +475,9 @@ fn streamed_batches_are_thread_count_invariant() {
 
 #[test]
 fn blahut_arimoto_retry_is_thread_count_invariant() {
-    use dplearn::infotheory::blahut_arimoto::blahut_arimoto_with_retry;
+    use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
     use dplearn::robust::RetryPolicy;
+    use dplearn::telemetry::NoopRecorder;
     let source = [0.2, 0.5, 0.3];
     let distortion = vec![
         vec![0.0, 0.8, 1.2],
@@ -476,15 +491,19 @@ fn blahut_arimoto_retry_is_thread_count_invariant() {
         growth: 8.0,
         damping: 0.5,
     };
+    let opts = BaOptions {
+        tol: 1e-12,
+        retry: policy,
+        tiles: BaTileOptions::default(),
+    };
     assert_thread_count_invariant(|| {
-        let (rd, report) =
-            blahut_arimoto_with_retry(&source, &distortion, 2.5, 1e-12, &policy).unwrap();
+        let rd = blahut_arimoto(&source, &distortion, 2.5, &opts, &NoopRecorder).unwrap();
         (
             rd.rate.to_bits(),
             rd.distortion.to_bits(),
-            report.attempts,
-            report.converged,
-            report.total_iterations,
+            rd.attempts,
+            rd.final_gap.to_bits(),
+            rd.iterations,
         )
     });
 }
@@ -583,17 +602,15 @@ fn mcmc_telemetry_is_thread_count_invariant() {
     };
     assert_thread_count_invariant(|| {
         let recorder = MemoryRecorder::new();
-        let _ = mh
-            .sample_chains_watched_recorded(4, 31, &wd, &recorder)
-            .unwrap();
+        let _ = mh.sample_chains_watched(4, 31, &wd, &recorder).unwrap();
         recorder.snapshot().unwrap()
     });
 }
 
 #[test]
 fn audit_and_ba_telemetry_is_thread_count_invariant() {
-    use dplearn::infotheory::blahut_arimoto::blahut_arimoto_with_retry_recorded;
-    use dplearn::mechanisms::audit::{audit_continuous_par_recorded, AuditConfig};
+    use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
+    use dplearn::mechanisms::audit::{audit_continuous_par, AuditConfig};
     use dplearn::mechanisms::laplace::LaplaceMechanism;
     use dplearn::mechanisms::privacy::Epsilon;
     use dplearn::robust::RetryPolicy;
@@ -613,11 +630,16 @@ fn audit_and_ba_telemetry_is_thread_count_invariant() {
         growth: 8.0,
         damping: 0.5,
     };
+    let opts = BaOptions {
+        tol: 1e-12,
+        retry: policy,
+        tiles: BaTileOptions::default(),
+    };
     assert_thread_count_invariant(|| {
         // One recorder across both subsystems: the merged snapshot keys
         // must not collide and every value must replay.
         let recorder = MemoryRecorder::new();
-        let _ = audit_continuous_par_recorded(
+        let _ = audit_continuous_par(
             |r| m.release(0.0, r),
             |r| m.release(1.0, r),
             -6.0,
@@ -628,15 +650,7 @@ fn audit_and_ba_telemetry_is_thread_count_invariant() {
             &recorder,
         )
         .unwrap();
-        let _ = blahut_arimoto_with_retry_recorded(
-            &source,
-            &distortion,
-            2.5,
-            1e-12,
-            &policy,
-            &recorder,
-        )
-        .unwrap();
+        let _ = blahut_arimoto(&source, &distortion, 2.5, &opts, &recorder).unwrap();
         recorder.snapshot().unwrap()
     });
 }
@@ -658,16 +672,19 @@ fn consecutive_par_map_calls_reuse_pool_bit_identically() {
     // counter, no section marker).
     assert_thread_count_invariant(|| {
         let items: Vec<f64> = (0..5000).map(|i| i as f64 * 0.37).collect();
-        let a: Vec<u64> = dplearn_parallel::par_map(&items, |i, &x| (x.sin() + i as f64).to_bits());
-        let b: Vec<u64> = dplearn_parallel::par_map(&items, |i, &x| (x.cos() - i as f64).to_bits());
+        let a: Vec<u64> =
+            dplearn_parallel::par_map(&items, 0, |i, &x| (x.sin() + i as f64).to_bits());
+        let b: Vec<u64> =
+            dplearn_parallel::par_map(&items, 0, |i, &x| (x.cos() - i as f64).to_bits());
         (a, b)
     });
 }
 
 #[test]
 fn pool_survives_blahut_arimoto_retry_restarts() {
-    use dplearn::infotheory::blahut_arimoto::blahut_arimoto_with_retry;
+    use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
     use dplearn::robust::RetryPolicy;
+    use dplearn::telemetry::NoopRecorder;
     // A restart-heavy solve (each attempt is its own run of pool
     // dispatches), then an unrelated parallel call on the same pool:
     // both must be thread-count invariant, and the retry must not leave
@@ -680,17 +697,21 @@ fn pool_survives_blahut_arimoto_retry_restarts() {
         growth: 4.0,
         damping: 0.5,
     };
+    let opts = BaOptions {
+        tol: 1e-13,
+        retry: policy,
+        tiles: BaTileOptions::default(),
+    };
     assert_thread_count_invariant(|| {
-        let (rd, report) =
-            blahut_arimoto_with_retry(&source, &distortion, 5.0, 1e-13, &policy).unwrap();
-        assert!(report.attempts > 1, "premise: restarts must happen");
+        let rd = blahut_arimoto(&source, &distortion, 5.0, &opts, &NoopRecorder).unwrap();
+        assert!(rd.attempts > 1, "premise: restarts must happen");
         assert!(
             !dplearn_parallel::in_pool_section(),
             "retry leaked the pool-section marker"
         );
         let after: Vec<u64> =
-            dplearn_parallel::par_map_indexed(257, |i| ((i as f64).sqrt() + 1.0).to_bits());
-        (rd.rate.to_bits(), report.attempts, after)
+            dplearn_parallel::par_map_indexed(257, 0, |i| ((i as f64).sqrt() + 1.0).to_bits());
+        (rd.rate.to_bits(), rd.attempts, after)
     });
 }
 
@@ -854,10 +875,9 @@ proptest::proptest! {
         seed in proptest::prelude::any::<u64>(),
         beta in 0.5f64..6.0,
     ) {
-        use dplearn::infotheory::blahut_arimoto::{
-            blahut_arimoto, blahut_arimoto_tiled, BaTileOptions,
-        };
+        use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
         use dplearn::numerics::rng::Rng;
+        use dplearn::telemetry::NoopRecorder;
 
         let mut rng = Xoshiro256::seed_from(seed);
         let mut source: Vec<f64> = (0..n).map(|_| rng.next_f64() + 0.05).collect();
@@ -876,7 +896,8 @@ proptest::proptest! {
             })
             .collect();
 
-        let reference = blahut_arimoto(&source, &distortion, beta, 1e-10, 50_000).unwrap();
+        let plain = BaOptions::new(1e-10, 50_000);
+        let reference = blahut_arimoto(&source, &distortion, beta, &plain, &NoopRecorder).unwrap();
         let ref_kernel: Vec<Vec<u64>> = reference
             .channel
             .rows()
@@ -887,14 +908,15 @@ proptest::proptest! {
             PIN_TILES
                 .iter()
                 .map(|&tile| {
-                    let opts = BaTileOptions {
-                        row_tile: tile,
-                        col_tile: tile,
+                    let opts = BaOptions {
+                        tiles: BaTileOptions {
+                            row_tile: tile,
+                            col_tile: tile,
+                        },
+                        ..BaOptions::new(1e-10, 50_000)
                     };
-                    let rd = blahut_arimoto_tiled(
-                        &source, &distortion, beta, 1e-10, 50_000, &opts,
-                    )
-                    .unwrap();
+                    let rd = blahut_arimoto(&source, &distortion, beta, &opts, &NoopRecorder)
+                        .unwrap();
                     let kernel: Vec<Vec<u64>> = rd
                         .channel
                         .rows()
@@ -1076,8 +1098,8 @@ fn nested_pool_dispatch_falls_back_to_serial_not_deadlock() {
     // the dispatcher. A deadlock here would hang the suite, so merely
     // completing is half the assertion; bit-identity is the other half.
     assert_thread_count_invariant(|| {
-        dplearn_parallel::par_map_indexed(16, |i| {
-            let inner: Vec<u64> = dplearn_parallel::par_map_indexed(16, move |j| {
+        dplearn_parallel::par_map_indexed(16, 0, |i| {
+            let inner: Vec<u64> = dplearn_parallel::par_map_indexed(16, 0, move |j| {
                 ((i * 16 + j) as f64).sqrt().to_bits()
             });
             inner

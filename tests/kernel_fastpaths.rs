@@ -25,6 +25,7 @@ use dplearn_mechanisms::audit::{audit_discrete_par, AuditConfig};
 use dplearn_numerics::rng::Xoshiro256;
 use dplearn_pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn_pacbayes::posterior::DiagGaussian;
+use dplearn_telemetry::NoopRecorder;
 
 /// MH with `with_fast_log_prior(true)` samples the same Gibbs posterior
 /// as the bit-identical default: binned short-chain draws from the two
@@ -70,6 +71,7 @@ fn mh_fast_log_prior_is_distribution_equivalent_to_default() {
         BINS,
         &cfg,
         0x9B50_F457,
+        &NoopRecorder,
     )
     .unwrap();
     assert!(

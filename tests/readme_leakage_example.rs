@@ -2,9 +2,10 @@
 //! README.md ("Measuring leakage at scale"). If this test breaks,
 //! update the README.
 
-use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_tiled, BaTileOptions};
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, BaTileOptions};
 use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::mi_accounting::MiAccountant;
+use dplearn::telemetry::NoopRecorder;
 use dplearn::DplearnError;
 
 #[test]
@@ -42,21 +43,27 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
     assert!(mi <= track.per_record_nats());
     assert!(track.per_record_nats() < eps);
 
-    // Tiled Blahut–Arimoto: explicit tile geometry, same bits as the
-    // reference solver.
+    // Blahut–Arimoto with explicit tile geometry: the same bits as the
+    // default geometry.
     let source = vec![0.25; 4];
     let distortion: Vec<Vec<f64>> = (0..4)
         .map(|x| (0..4).map(|y| f64::from(u8::from(x != y))).collect())
         .collect();
-    let reference = blahut_arimoto(&source, &distortion, 2.0, 1e-10, 10_000)?;
-    let tiled = blahut_arimoto_tiled(
+    let reference = blahut_arimoto(
         &source,
         &distortion,
         2.0,
-        1e-10,
-        10_000,
-        &BaTileOptions::default(),
+        &BaOptions::new(1e-10, 10_000),
+        &NoopRecorder,
     )?;
+    let opts = BaOptions {
+        tiles: BaTileOptions {
+            row_tile: 1,
+            col_tile: 1,
+        },
+        ..BaOptions::new(1e-10, 10_000)
+    };
+    let tiled = blahut_arimoto(&source, &distortion, 2.0, &opts, &NoopRecorder)?;
     assert_eq!(tiled.rate.to_bits(), reference.rate.to_bits());
     // Every solve also returns Blahut's certified lower bound on R(D).
     assert!(tiled.rate_lower_bound <= tiled.rate);

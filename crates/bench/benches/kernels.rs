@@ -14,6 +14,13 @@
 //!   asserts the kernel is at least 1.4× faster at 1024 cells on 1
 //!   worker: it does half the `exp` calls, so the gain needs no second
 //!   core.
+//! * `exp` — `softmax_in_place` (the in-crate `exp`, with `f64::exp` on
+//!   any 1024-cell block that holds an argument below its range) vs the
+//!   same pass with `f64::exp` on every cell, at 2¹⁶ cells on 1 worker,
+//!   once over normal-range arguments and once over mostly-underflowing
+//!   ones (a λ = 2000 Gibbs row). The CI smoke job asserts that on the
+//!   underflowing input the in-crate pass takes at most 1.5× the libm
+//!   pass: every block falls back, so it costs a pre-scan more.
 //! * `blahut_arimoto` — fixed-iteration BA solves (`tol = 0` runs
 //!   exactly `iters` iterations, so the work is identical at every
 //!   thread count) on alphabets up to 4096 symbols.
@@ -40,7 +47,7 @@
 
 use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, RateDistortion};
 use dplearn::infotheory::InfoError;
-use dplearn::numerics::special::{log_sum_exp, softmax_in_place, xlogx_over_y};
+use dplearn::numerics::special::{log_sum_exp, softmax_in_place, xlogx_over_y, EXP_NORMAL_MIN};
 use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
@@ -164,7 +171,119 @@ fn bench_softmax(len: usize, reps: usize) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------
-// Section 3: fixed-iteration Blahut–Arimoto at large alphabets.
+// Section 3: the in-crate exp against libm, inside the softmax pass.
+// ---------------------------------------------------------------------
+
+/// Cells of each `exp` pass.
+const EXP_CELLS: usize = 1 << 16;
+
+/// `softmax_in_place` with `f64::exp` on every cell, as it ran before the
+/// in-crate `exp`: the baseline of the `exp` section.
+fn libm_softmax(w: &mut [f64]) -> f64 {
+    let mut lane_max = [f64::NEG_INFINITY; 4];
+    for c in w.chunks_exact(4) {
+        for (m, &x) in lane_max.iter_mut().zip(c) {
+            *m = m.max(x);
+        }
+    }
+    let tail = w.chunks_exact(4).remainder();
+    let m = lane_max
+        .iter()
+        .chain(tail)
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    if !m.is_finite() {
+        return m;
+    }
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = w.chunks_exact_mut(4);
+    for c in chunks.by_ref() {
+        for (s, x) in lanes.iter_mut().zip(c) {
+            *x = (*x - m).exp();
+            *s += *x;
+        }
+    }
+    let [l0, l1, l2, l3] = lanes;
+    let mut sum = (l0 + l1) + (l2 + l3);
+    for x in chunks.into_remainder() {
+        *x = (*x - m).exp();
+        sum += *x;
+    }
+    for x in w.iter_mut() {
+        *x /= sum;
+    }
+    m + sum.ln()
+}
+
+/// Log weights for the `exp` section: arguments in (−15, 0] when
+/// `underflow` is false; otherwise a Gibbs row at λ = 2000 over risks
+/// spread on [0, 1), whose arguments reach −2000 and mostly lie below
+/// the in-crate `exp`'s range.
+fn exp_inputs(underflow: bool) -> Vec<f64> {
+    (0..EXP_CELLS)
+        .map(|i| {
+            if underflow {
+                -2000.0 * ((i * 7919) % EXP_CELLS) as f64 / EXP_CELLS as f64
+            } else {
+                ((i * 37) % 101) as f64 / 7.0 - 6.0
+            }
+        })
+        .collect()
+}
+
+/// Seconds per pass: (`f64::exp` on every cell, `softmax_in_place`).
+/// Both copy the log weights in first. On the underflowing input every
+/// block falls back to `f64::exp`, so the two agree bit for bit.
+fn bench_exp(underflow: bool, reps: usize) -> (f64, f64) {
+    let xs = exp_inputs(underflow);
+    let below = xs.iter().filter(|&&x| x < EXP_NORMAL_MIN).count();
+    assert_eq!(
+        below > EXP_CELLS / 2,
+        underflow,
+        "{below} arguments below range"
+    );
+    let mut libm = xs.clone();
+    let mut kernel = xs.clone();
+    let (a, b) = (libm_softmax(&mut libm), softmax_in_place(&mut kernel));
+    if underflow {
+        assert_eq!(a.to_bits(), b.to_bits(), "fallback normalizer drifted");
+        assert!(
+            libm.iter()
+                .zip(&kernel)
+                .all(|(p, q)| p.to_bits() == q.to_bits()),
+            "fallback blocks drifted from f64::exp"
+        );
+    } else {
+        assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
+        assert!(
+            libm.iter()
+                .zip(&kernel)
+                .all(|(p, q)| (p - q).abs() <= 1e-12 * p),
+            "in-crate exp drifted from f64::exp"
+        );
+    }
+    const PASSES: usize = 100;
+    let old = median_secs(reps, || {
+        let mut acc = 0.0;
+        for _ in 0..PASSES {
+            libm.copy_from_slice(black_box(&xs));
+            acc += libm_softmax(&mut libm);
+        }
+        black_box((acc, &libm));
+    });
+    let new = median_secs(reps, || {
+        let mut acc = 0.0;
+        for _ in 0..PASSES {
+            kernel.copy_from_slice(black_box(&xs));
+            acc += softmax_in_place(&mut kernel);
+        }
+        black_box((acc, &kernel));
+    });
+    (old / PASSES as f64, new / PASSES as f64)
+}
+
+// ---------------------------------------------------------------------
+// Section 4: fixed-iteration Blahut–Arimoto at large alphabets.
 // ---------------------------------------------------------------------
 
 fn ba_problem(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
@@ -214,7 +333,7 @@ fn bench_ba(n: usize, iters: usize, reps: usize) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Section 4: leakage / mutual-information stress.
+// Section 5: leakage / mutual-information stress.
 // ---------------------------------------------------------------------
 
 /// Input distribution and boxed kernel rows.
@@ -332,6 +451,23 @@ fn main() {
                     fold / kernel
                 ),
             });
+        }
+
+        if threads == 1 {
+            for (input, underflow) in [("normal", false), ("underflow", true)] {
+                let (libm, kernel) = bench_exp(underflow, reps);
+                rows.push(Row {
+                    section: "exp",
+                    threads,
+                    fields: format!(
+                        "\"input\": \"{input}\", \"len\": {EXP_CELLS}, \"libm_ns\": {:.1}, \
+                         \"in_crate_ns\": {:.1}, \"speedup\": {:.3}",
+                        libm * 1e9,
+                        kernel * 1e9,
+                        libm / kernel
+                    ),
+                });
+            }
         }
 
         for &n in &ba_sizes {

@@ -9,7 +9,8 @@
 //! doesn't hide the others; the overall exit code is nonzero if any
 //! child fails.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, ExitStatus};
 
 const EXPERIMENTS: &[&str] = &[
     "e1_laplace_dp",
@@ -28,19 +29,38 @@ const EXPERIMENTS: &[&str] = &[
     "e14_mi_accounting",
 ];
 
+/// Run experiment `exp` from `bin_dir` with `args`. A binary that
+/// cannot be started is an error that says how to build it: the
+/// experiments sit beside this binary, built with the same profile.
+fn launch(bin_dir: &Path, exp: &str, args: &[String]) -> Result<ExitStatus, String> {
+    let path = bin_dir.join(exp);
+    Command::new(&path).args(args).status().map_err(|e| {
+        let release = if bin_dir.ends_with("debug") {
+            ""
+        } else {
+            " --release"
+        };
+        format!(
+            "run_all: cannot launch {exp} ({}: {e}); build it with\n  \
+             cargo build{release} -p dplearn-experiments --bin {exp}",
+            path.display()
+        )
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin dir");
     let mut failures = Vec::new();
     for exp in EXPERIMENTS {
-        let path = bin_dir.join(exp);
-        let status = Command::new(&path)
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
-        if !status.success() {
-            failures.push(*exp);
+        match launch(bin_dir, exp, &args) {
+            Ok(status) if status.success() => {}
+            Ok(_) => failures.push(*exp),
+            Err(message) => {
+                eprintln!("{message}");
+                failures.push(*exp);
+            }
         }
         println!();
     }
@@ -49,5 +69,27 @@ fn main() {
     } else {
         eprintln!("run_all: FAILURES in {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_binary_names_itself_and_its_build_command() {
+        let dir = std::env::temp_dir().join("run_all_missing_binaries/release");
+        let err = launch(&dir, "e1_laplace_dp", &[]).unwrap_err();
+        assert!(err.contains("cannot launch e1_laplace_dp"), "{err}");
+        assert!(
+            err.contains("cargo build --release -p dplearn-experiments --bin e1_laplace_dp"),
+            "{err}"
+        );
+        let debug = dir.with_file_name("debug");
+        let err = launch(&debug, "e13_subsampling", &[]).unwrap_err();
+        assert!(
+            err.contains("cargo build -p dplearn-experiments --bin e13_subsampling"),
+            "{err}"
+        );
     }
 }

@@ -71,6 +71,26 @@ const EPS_BLOCK: usize = 1024;
 /// `ln(max/min)`, about 10⁶ times finer than this cut.
 const EPS_CUT: f64 = 1e-9;
 
+/// The larger of `a` and `b` by one compare-select, a single packed max
+/// where `f64::max` adds a NaN test per cell. The kernels feed it finite
+/// cells, where the two agree but for the sign of a zero.
+fn max_of(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The smaller of `a` and `b` by one compare-select; see [`max_of`].
+fn min_of(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
 /// The channel type under its earlier name. The repo benchmark
 /// (`benchmark/src/leakage.rs`) still names it; it goes when the
 /// benchmark next changes. Everything else uses [`DiscreteChannel`].
@@ -304,7 +324,7 @@ impl DiscreteChannel {
                 for (x, &px) in input.iter().enumerate() {
                     let row0 = x * ny + start;
                     for (b, &q) in bests.iter_mut().zip(&kernel[row0..row0 + width]) {
-                        *b = b.max(px * q);
+                        *b = max_of(*b, px * q);
                     }
                 }
                 bests
@@ -419,27 +439,30 @@ impl DiscreteChannel {
         let mut lo = hi.clone();
         for row in kernel.chunks_exact(ny).skip(1) {
             for ((h, l), &v) in hi.iter_mut().zip(&mut lo).zip(&row[cols.clone()]) {
-                *h = h.max(v);
-                *l = l.min(v);
+                *h = max_of(*h, v);
+                *l = min_of(*l, v);
             }
         }
-        // `lo` becomes each column's min/max quotient q: the smaller q,
-        // the larger the ratio. NaN marks an all-zero column, which no
-        // test below keeps. Only normal quotients set the cut, so a
-        // subnormal or zero quotient always passes it.
+        // `lo` becomes each column's min/max quotient q in [0, 1]: the
+        // smaller q, the larger the ratio. An all-zero column gives
+        // 0/0 = NaN, which no test below keeps; a zero beside a nonzero
+        // cell gives q = 0 and sets `mixed`. Only normal quotients set
+        // the cut, so a subnormal or zero quotient always passes it. The
+        // loop has no branch, so it vectorizes.
+        let mut mixed = false;
         let mut q_min = f64::INFINITY;
         for (&h, q) in hi.iter().zip(&mut lo) {
-            if h == 0.0 {
-                *q = f64::NAN;
-                continue;
-            }
-            if *q == 0.0 {
-                return None;
-            }
+            mixed |= (*q == 0.0) & (h != 0.0);
             *q /= h;
-            if q.is_normal() {
-                q_min = q_min.min(*q);
-            }
+            let normal = if *q >= f64::MIN_POSITIVE {
+                *q
+            } else {
+                f64::INFINITY
+            };
+            q_min = min_of(q_min, normal);
+        }
+        if mixed {
+            return None;
         }
         let mut runs: Vec<Range<usize>> = Vec::new();
         for (y, &q) in cols.zip(&lo) {

@@ -115,9 +115,24 @@ fn tally(counts: &mut [u64], outcome: usize, mech: &'static str) -> Result<()> {
     Ok(())
 }
 
+/// Record `output` in `h`. A NaN or infinite output is a broken
+/// mechanism, which the audit reports instead of binning it; a finite
+/// output outside the histogram's range goes to the nearer edge bin.
+fn record(h: &mut Histogram, output: f64, mech: &'static str) -> Result<()> {
+    if !output.is_finite() {
+        return Err(MechanismError::InvalidParameter {
+            name: mech,
+            reason: format!("returned {output}, not a finite number"),
+        });
+    }
+    h.record(output);
+    Ok(())
+}
+
 /// Monte-Carlo audit of a mechanism with **continuous scalar** outputs,
 /// compared over a histogram with `bins` equal-width cells on `[lo, hi)`
-/// (outputs outside the range are clamped into the edge bins).
+/// (finite outputs outside the range are clamped into the edge bins; a
+/// NaN or infinite output is an error naming the mechanism).
 #[allow(clippy::too_many_arguments)]
 pub fn audit_continuous<R, F, G>(
     mut mech_d: F,
@@ -142,8 +157,8 @@ where
     let mut h_d = Histogram::new(lo, hi, bins)?;
     let mut h_dp = Histogram::new(lo, hi, bins)?;
     for _ in 0..trials {
-        h_d.record(mech_d(rng));
-        h_dp.record(mech_d_prime(rng));
+        record(&mut h_d, mech_d(rng), "mech_d")?;
+        record(&mut h_dp, mech_d_prime(rng), "mech_d_prime")?;
     }
     // For continuous outputs the low-variance event class is the family
     // of one-sided tails {X ≤ t} / {X ≥ t}: tail probabilities are large
@@ -358,7 +373,8 @@ where
 /// — the deterministic parallel counterpart of [`audit_continuous`].
 ///
 /// Per-chunk histograms are accumulated locally and merged in chunk
-/// order; see [`AuditConfig`] for the determinism contract. Telemetry as
+/// order; see [`AuditConfig`] for the determinism contract. A NaN or
+/// infinite output is an error, the first in chunk order. Telemetry as
 /// in [`audit_discrete_par`], under the same `mechanisms.audit.*` names
 /// with label `continuous`.
 #[allow(clippy::too_many_arguments)]
@@ -385,27 +401,29 @@ where
     let (counts_d, counts_dp) = dplearn_parallel::par_map_reduce(
         cfg.n_chunks(),
         0,
-        (vec![0u64; bins], vec![0u64; bins]),
-        |k| {
+        Ok((vec![0u64; bins], vec![0u64; bins])),
+        |k| -> Result<(Vec<u64>, Vec<u64>)> {
             let mut rng = streams[k].clone();
             let mut h_d = proto.clone();
             let mut h_dp = proto.clone();
             for _ in 0..cfg.chunk_trials(k) {
-                h_d.record(mech_d(&mut rng));
-                h_dp.record(mech_d_prime(&mut rng));
+                record(&mut h_d, mech_d(&mut rng), "mech_d")?;
+                record(&mut h_dp, mech_d_prime(&mut rng), "mech_d_prime")?;
             }
-            (h_d.counts().to_vec(), h_dp.counts().to_vec())
+            Ok((h_d.counts().to_vec(), h_dp.counts().to_vec()))
         },
-        |(mut acc_d, mut acc_dp), (local_d, local_dp)| {
+        |acc: Result<_>, local| {
+            let (mut acc_d, mut acc_dp) = acc?;
+            let (local_d, local_dp) = local?;
             for (a, l) in acc_d.iter_mut().zip(&local_d) {
                 *a += l;
             }
             for (a, l) in acc_dp.iter_mut().zip(&local_dp) {
                 *a += l;
             }
-            (acc_d, acc_dp)
+            Ok((acc_d, acc_dp))
         },
-    );
+    )?;
     let eps = tail_max_log_ratio(&counts_d, &counts_dp, cfg.trials);
     if recorder.enabled() {
         recorder.counter_add("mechanisms.audit.runs", "continuous", 1);
@@ -918,5 +936,61 @@ mod tests {
             );
         }
         dplearn_parallel::set_thread_count(0);
+    }
+
+    #[test]
+    fn continuous_audits_reject_a_non_finite_output() {
+        let rejected = |res: Result<AuditResult>, mech: &str, output: &str| match res {
+            Err(MechanismError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, mech);
+                assert!(reason.contains(&format!("returned {output},")), "{reason}");
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        // NaN half the time beside 0.5, on [0, 1) in 10 bins: binned, the
+        // NaNs would count as `lo` and give ε̂ ≈ 0.69.
+        let half_nan = |r: &mut Xoshiro256| if r.next_f64() < 0.5 { f64::NAN } else { 0.5 };
+        let mut rng = Xoshiro256::seed_from(4);
+        rejected(
+            audit_continuous(|_r| 0.5, half_nan, 0.0, 1.0, 10, 1_000, &mut rng),
+            "mech_d_prime",
+            "NaN",
+        );
+        rejected(
+            audit_continuous(|_r| f64::INFINITY, |_r| 0.5, 0.0, 1.0, 10, 1_000, &mut rng),
+            "mech_d",
+            "inf",
+        );
+        // The parallel audit fails the same way at every thread count,
+        // also when the mechanism leaves the reals only rarely.
+        let cfg = AuditConfig::new(4_000).with_chunk_size(1_000);
+        let rare = |r: &mut Xoshiro256| {
+            if r.next_f64() < 1e-3 {
+                f64::NEG_INFINITY
+            } else {
+                0.5
+            }
+        };
+        for threads in [1, 4] {
+            dplearn_parallel::set_thread_count(threads);
+            rejected(
+                audit_continuous_par(half_nan, |_r| 0.5, 0.0, 1.0, 10, &cfg, 5, &NoopRecorder),
+                "mech_d",
+                "NaN",
+            );
+            rejected(
+                audit_continuous_par(|_r| 0.5, rare, 0.0, 1.0, 10, &cfg, 5, &NoopRecorder),
+                "mech_d_prime",
+                "-inf",
+            );
+        }
+        dplearn_parallel::set_thread_count(0);
+        // Finite outputs outside [lo, hi) still go to the edge bins: all
+        // of D's mass in the first, all of D′'s in the last.
+        let res = audit_continuous(|_r| -5.0, |_r| 7.0, 0.0, 1.0, 10, 1_000, &mut rng).unwrap();
+        assert_eq!(res.empirical_epsilon, 0.0);
+        let par = audit_continuous_par(|_r| -5.0, |_r| 7.0, 0.0, 1.0, 10, &cfg, 5, &NoopRecorder)
+            .unwrap();
+        assert_eq!(par.empirical_epsilon, 0.0);
     }
 }

@@ -111,19 +111,34 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + s.ln()
 }
 
+/// Cells per block of [`softmax_in_place`]'s `exp` pass: 8 KiB, so a
+/// block stays in L1 from its pre-scan to its `exp`s. A multiple of the
+/// four lanes, so blocks leave each cell's lane alone.
+const SOFTMAX_BLOCK: usize = 1024;
+
 /// Softmax in place: overwrite the log weights `w` with the
 /// probabilities `exp(wᵢ − z)` and return the log normalizer
 /// `z = log Σᵢ exp(wᵢ)`, with one `exp` per cell.
 ///
 /// Three passes:
 ///
-/// 1. the maximum `m`, scanned in four lanes (a maximum is the same
-///    value under any association);
+/// 1. the maximum `m`, scanned in four lanes by compare-selects that
+///    pass over NaN, as `f64::max` does (a maximum is the same value
+///    under any association);
 /// 2. `wᵢ ← exp(wᵢ − m)`, written in place and summed in four fixed
 ///    lanes: cell `i` goes to lane `i mod 4`, the lanes fold as
 ///    `(l0 + l1) + (l2 + l3)`, and the tail cells are added in order, so
 ///    the slice's length alone sets the association;
 /// 3. `wᵢ ← wᵢ / s`, one division per cell by that sum `s`.
+///
+/// Pass 2 runs block by block: 1024 cells of the whole-lane body at a
+/// time, then the tail. A pre-scan checks each block's smallest argument
+/// `wᵢ − m`. When it is at least [`EXP_NORMAL_MIN`], the block runs the
+/// in-crate [`exp_normal_range`]; a block with a NaN, a `−∞` or any
+/// argument below that bound runs `f64::exp` on every cell. So every
+/// cell that `f64::exp` would make subnormal or zero keeps `f64::exp`'s
+/// bits, and weights that mostly underflow cost a pre-scan more than
+/// `f64::exp` alone.
 ///
 /// It returns `m + ln s`. A `−∞` weight becomes probability exactly 0.
 /// When the weights cannot be normalized the return value is not
@@ -137,38 +152,68 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 /// 1e-12 relative of the two-`exp` fold `exp(wᵢ − log_sum_exp(w))`.
 pub fn softmax_in_place(w: &mut [f64]) -> f64 {
     const LANES: usize = 4;
+    // `f64::max` would test for NaN on every cell; a compare-select is
+    // one packed max. Starting from −∞, both skip NaN and give the same
+    // maximum but for the sign of a zero, which changes no output bit.
+    let max_of = |m: f64, x: f64| if x > m { x } else { m };
     let mut lane_max = [f64::NEG_INFINITY; LANES];
     let mut chunks = w.chunks_exact(LANES);
     for c in chunks.by_ref() {
         for (m, &x) in lane_max.iter_mut().zip(c) {
-            *m = m.max(x);
+            *m = max_of(*m, x);
         }
     }
-    let mut m = lane_max.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    for &x in chunks.remainder() {
-        m = m.max(x);
-    }
+    let m = lane_max
+        .into_iter()
+        .chain(chunks.remainder().iter().copied())
+        .fold(f64::NEG_INFINITY, max_of);
     if !m.is_finite() {
         return m;
     }
     let mut lane_sum = [0.0f64; LANES];
-    let mut chunks = w.chunks_exact_mut(LANES);
-    for c in chunks.by_ref() {
-        for (s, x) in lane_sum.iter_mut().zip(c) {
-            *x = (*x - m).exp();
-            *s += *x;
+    let (body, tail) = w.split_at_mut(w.len() - w.len() % LANES);
+    for block in body.chunks_mut(SOFTMAX_BLOCK) {
+        if exp_args_in_normal_range(block, m) {
+            exp_in_lanes(block, m, &mut lane_sum, exp_normal_range);
+        } else {
+            exp_in_lanes(block, m, &mut lane_sum, f64::exp);
         }
     }
     let [l0, l1, l2, l3] = lane_sum;
     let mut sum = (l0 + l1) + (l2 + l3);
-    for x in chunks.into_remainder() {
-        *x = (*x - m).exp();
+    let exp: fn(f64) -> f64 = if exp_args_in_normal_range(tail, m) {
+        exp_normal_range
+    } else {
+        f64::exp
+    };
+    for x in tail {
+        *x = exp(*x - m);
         sum += *x;
     }
     for x in w.iter_mut() {
         *x /= sum;
     }
     m + sum.ln()
+}
+
+/// Whether the smallest `x − m` over `cells` is at least
+/// [`EXP_NORMAL_MIN`]. A NaN fails the comparison, so a NaN cell makes
+/// the answer `false`; the `&` keeps the scan free of branches.
+fn exp_args_in_normal_range(cells: &[f64], m: f64) -> bool {
+    cells
+        .iter()
+        .fold(true, |ok, &x| ok & (x - m >= EXP_NORMAL_MIN))
+}
+
+/// `xᵢ ← exp(xᵢ − m)` over `cells`, a whole number of lanes, each cell
+/// added to lane `i mod 4` of `lanes`.
+fn exp_in_lanes(cells: &mut [f64], m: f64, lanes: &mut [f64; 4], exp: impl Fn(f64) -> f64) {
+    for c in cells.chunks_exact_mut(4) {
+        for (s, x) in lanes.iter_mut().zip(c) {
+            *x = exp(*x - m);
+            *s += *x;
+        }
+    }
 }
 
 /// `log(1 + exp(x))` without overflow (the softplus function).
@@ -263,6 +308,60 @@ pub fn ln_positive_normal(x: f64) -> f64 {
     let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
     let r = t2 + t1;
     k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+}
+
+/// The lower end of [`exp_normal_range`]'s domain.
+///
+/// The kernel scales by `2ᵏ`, `k = round(x / ln 2)`, through the exponent
+/// bits of a number in `[½, 2)`, so its result is a normal number by
+/// construction exactly when `k ≥ −1021`: when `x / ln 2 > −1021.5`, that
+/// is `x > −708.04`. `−708.0` leaves `0.04` for the rounding of
+/// `x · (1/ln 2)`. (`ln(f64::MIN_POSITIVE) ≈ −708.40` is not the bound:
+/// from there to `−708.04`, `k = −1022`, and a reduced value below 1
+/// would need a subnormal result, which no exponent field holds.)
+pub const EXP_NORMAL_MIN: f64 = -708.0;
+
+/// `eˣ` for `x` in `[EXP_NORMAL_MIN, 709]` (see [`EXP_NORMAL_MIN`]), with
+/// no branch and no table, so a loop over it vectorizes. fdlibm bounds
+/// its error below 1 ulp; the tests hold it within 1 ulp of `f64::exp`.
+/// `exp(0.0)` is exactly `1.0`.
+///
+/// fdlibm's `__ieee754_exp` (Sun Microsystems, 1993) in branch-free form:
+/// `k = round(x / ln 2)` by adding `1.5·2⁵²`, `r = x − k·ln 2` with `ln 2`
+/// split hi/lo (Cody–Waite), `eʳ = 1 − ((lo − r·c/(2 − c)) − hi)` with
+/// fdlibm's five-term Remez `c = r − r²·(P1 + r²·(P2 + … + r²·P5))`, and
+/// the scaling by `2ᵏ` done by adding `k` to the exponent bits.
+///
+/// Outside the domain the result means nothing: below it the scaled
+/// exponent leaves the normal range, and a NaN or infinite argument gives
+/// a meaningless value. The caller tests the argument and sends those
+/// cases elsewhere: [`softmax_in_place`] runs `f64::exp` on such a block.
+#[inline]
+pub fn exp_normal_range(x: f64) -> f64 {
+    const INV_LN2: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
+    // ln 2 split so that k·LN2_HI is exact for |k| < 2²¹.
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    const P1: f64 = f64::from_bits(0x3fc5_5555_5555_553e);
+    const P2: f64 = f64::from_bits(0xbf66_c16c_16be_bd93);
+    const P3: f64 = f64::from_bits(0x3f11_566a_af25_de2c);
+    const P4: f64 = f64::from_bits(0xbebb_bd41_c5d2_6bf1);
+    const P5: f64 = f64::from_bits(0x3e66_3769_72be_a4d0);
+    // 1.5·2⁵²: adding it rounds to the nearest integer and leaves that
+    // integer, two's complement, in the low mantissa bits.
+    const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+
+    let kd = x * INV_LN2 + SHIFT;
+    let k = kd - SHIFT;
+    let hi = x - k * LN2_HI;
+    let lo = k * LN2_LO;
+    let r = hi - lo;
+    let t = r * r;
+    let c = r - t * (P1 + t * (P2 + t * (P3 + t * (P4 + t * P5))));
+    let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    // y lies in [½, 2); shifting kd's bits left by 52 keeps k mod 2¹²,
+    // and adding that to y's bits adds k to its exponent.
+    f64::from_bits(y.to_bits().wrapping_add(kd.to_bits() << 52))
 }
 
 /// Log-gamma via the Lanczos approximation (g = 7, n = 9 coefficients).
@@ -629,13 +728,45 @@ mod tests {
         (z, w.iter().map(|&x| (x - z).exp()).collect())
     }
 
-    /// `softmax_in_place` written by index: the maximum, then cell `i`
-    /// into lane `i % 4` up to the last full group of four, the lanes
-    /// folded `(l0 + l1) + (l2 + l3)`, the tail added in order, and one
-    /// division per cell.
-    fn lane_replica(w: &[f64]) -> (f64, Vec<f64>) {
+    /// `exp(wᵢ − m)` as the kernel takes it, written by index. Cell `i`
+    /// of the whole-lane body belongs to block `i / 1024`, and the tail
+    /// is a block of its own; a block whose every argument is at least
+    /// `EXP_NORMAL_MIN` runs `exp_normal_range`, any other `f64::exp`.
+    fn blocked_exps(w: &[f64], m: f64) -> Vec<f64> {
+        let body = w.len() - w.len() % 4;
+        let block = |i: usize| {
+            if i < body {
+                let start = i / 1024 * 1024;
+                start..(start + 1024).min(body)
+            } else {
+                body..w.len()
+            }
+        };
+        (0..w.len())
+            .map(|i| {
+                if w[block(i)].iter().all(|&x| x - m >= EXP_NORMAL_MIN) {
+                    exp_normal_range(w[i] - m)
+                } else {
+                    (w[i] - m).exp()
+                }
+            })
+            .collect()
+    }
+
+    /// `exp(wᵢ − m)` through `f64::exp` alone, as before the in-crate
+    /// kernel.
+    fn libm_exps(w: &[f64], m: f64) -> Vec<f64> {
+        w.iter().map(|&x| (x - m).exp()).collect()
+    }
+
+    /// `softmax_in_place` written by index, given how it takes each
+    /// cell's `exp`: the maximum, then cell `i` into lane `i % 4` up to
+    /// the last full group of four, the lanes folded
+    /// `(l0 + l1) + (l2 + l3)`, the tail added in order, and one division
+    /// per cell.
+    fn lane_replica(w: &[f64], exps: fn(&[f64], f64) -> Vec<f64>) -> (f64, Vec<f64>) {
         let m = w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let e: Vec<f64> = w.iter().map(|&x| (x - m).exp()).collect();
+        let e = exps(w, m);
         let body = e.len() - e.len() % 4;
         let mut lanes = [0.0f64; 4];
         for i in 0..body {
@@ -648,14 +779,15 @@ mod tests {
         (m + s.ln(), e.iter().map(|&x| x / s).collect())
     }
 
-    /// Run the kernel on `w` and pin it: bit for bit to the lane replica,
-    /// and within 1e-12 relative of the two-`exp` oracle in the
-    /// normalizer and in every cell of at least 1e-290 (smaller cells
-    /// within 1e-300 absolute). Returns the probabilities.
-    fn assert_softmax_pinned(w: &[f64]) -> Vec<f64> {
+    /// Run the kernel on `w` and pin it: bit for bit to the lane replica
+    /// taking each cell's `exp` by `exps`, and within 1e-12 relative of
+    /// the two-`exp` oracle in the normalizer and in every cell of at
+    /// least 1e-290 (smaller cells within 1e-300 absolute). Returns the
+    /// probabilities.
+    fn assert_softmax_pinned_to(w: &[f64], exps: fn(&[f64], f64) -> Vec<f64>) -> Vec<f64> {
         let mut probs = w.to_vec();
         let z = softmax_in_place(&mut probs);
-        let (rz, replica) = lane_replica(w);
+        let (rz, replica) = lane_replica(w, exps);
         assert_eq!(z.to_bits(), rz.to_bits(), "len {}: normalizer", w.len());
         for (i, (p, r)) in probs.iter().zip(&replica).enumerate() {
             assert_eq!(p.to_bits(), r.to_bits(), "len {}: cell {i}", w.len());
@@ -673,17 +805,25 @@ mod tests {
         probs
     }
 
+    fn assert_softmax_pinned(w: &[f64]) -> Vec<f64> {
+        assert_softmax_pinned_to(w, blocked_exps)
+    }
+
     #[test]
     fn softmax_in_place_matches_the_oracle_and_its_lane_replica() {
         use crate::rng::{Rng, Xoshiro256};
         let mut rng = Xoshiro256::seed_from(20_120_330);
-        // Every lane tail from 1 to 9 cells, and a long row with a tail
-        // of 3; about one cell in ten is −∞ (probability exactly 0).
-        for len in (1..=9).chain([4099]) {
-            for _ in 0..16 {
+        // Every lane tail from 1 to 9 cells, one block less one cell, one
+        // block, one block and one cell, and four blocks with a tail of 3.
+        // Odd rows make about one cell in ten −∞ (probability exactly 0),
+        // which sends its block to `f64::exp`; even rows have none, so
+        // whole blocks run the in-crate kernel.
+        for len in (1..=9).chain([1023, 1024, 1025, 4099]) {
+            for row in 0..16 {
+                let p_neg_inf = if row % 2 == 0 { 0.0 } else { 0.1 };
                 let w: Vec<f64> = (0..len)
                     .map(|_| {
-                        if rng.next_f64() < 0.1 {
+                        if rng.next_f64() < p_neg_inf {
                             f64::NEG_INFINITY
                         } else {
                             rng.next_f64() * 80.0 - 40.0
@@ -719,6 +859,92 @@ mod tests {
         );
         let total: f64 = probs.iter().sum();
         assert!((total - 1.0).abs() <= 1e-12, "sum {total}");
+    }
+
+    /// Log weights whose arguments `wᵢ − max` all lie in `(−15, 0]`:
+    /// four whole blocks and a tail of 3, every one of them in range.
+    fn in_range_weights() -> Vec<f64> {
+        (0..4099)
+            .map(|i| ((i * 37) % 101) as f64 / 7.0 - 6.0)
+            .collect()
+    }
+
+    #[test]
+    fn a_block_with_one_argument_out_of_range_runs_libm_on_every_cell() {
+        let base = in_range_weights();
+        let m = base.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let kernel: Vec<f64> = base.iter().map(|&x| exp_normal_range(x - m)).collect();
+        let libm = libm_exps(&base, m);
+        let differs = |r: std::ops::Range<usize>| r.filter(|&i| kernel[i] != libm[i]).count();
+        // Each block has cells where the two differ in the last bit, so
+        // the pins below tell one from the other.
+        for r in [0..1024, 1024..2048, 2048..3072, 3072..4096] {
+            assert!(differs(r) > 0);
+        }
+        assert_softmax_pinned_to(&base, |w, m| {
+            w.iter().map(|&x| exp_normal_range(x - m)).collect()
+        });
+        // One argument just below the bound (block 1), a −∞ (block 2), and
+        // one in the tail: each of those blocks, and only those, runs
+        // `f64::exp` on every cell.
+        let below = m + EXP_NORMAL_MIN - 0.25;
+        for (at, x, libm_block) in [
+            (1500, below, 1024..2048),
+            (2100, f64::NEG_INFINITY, 2048..3072),
+            (4097, below, 4096..4099),
+        ] {
+            let mut w = base.clone();
+            w[at] = x;
+            let exps = blocked_exps(&w, m);
+            for (i, (&e, &x)) in exps.iter().zip(&w).enumerate() {
+                let want = if libm_block.contains(&i) {
+                    (x - m).exp()
+                } else {
+                    exp_normal_range(x - m)
+                };
+                assert_eq!(e.to_bits(), want.to_bits(), "cell {i}, {x} at {at}");
+            }
+            assert_softmax_pinned(&w);
+        }
+    }
+
+    #[test]
+    fn a_nan_beside_finite_weights_keeps_the_normalizer_nan() {
+        // In a body block and in the tail; the max pass passes over it.
+        for at in [0, 1500, 4096, 4098] {
+            let mut w = in_range_weights();
+            w[at] = f64::NAN;
+            let z = softmax_in_place(&mut w);
+            assert!(z.is_nan(), "NaN at {at} normalized to {z}");
+        }
+    }
+
+    #[test]
+    fn a_gibbs_row_that_mostly_underflows_keeps_libm_bits() {
+        use crate::rng::{Rng, Xoshiro256};
+        // A Gibbs row at λ = 2000: uniform prior weights `ln(1/n) − λ·r`
+        // over risks r in [0, 1). About two arguments in three lie below
+        // −708, so every block, the tail included, holds one and runs
+        // `f64::exp`: the row is bit for bit the kernel that took
+        // `f64::exp` for every cell.
+        let mut rng = Xoshiro256::seed_from(2_000);
+        for len in [1023, 1024, 1025, 4099] {
+            let ln_p = (1.0 / len as f64).ln();
+            let w: Vec<f64> = (0..len).map(|_| ln_p - 2000.0 * rng.next_f64()).collect();
+            let m = w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let body = len - len % 4;
+            let blocks = (0..body).step_by(1024).map(|b| b..(b + 1024).min(body));
+            for block in blocks
+                .chain(std::iter::once(body..len))
+                .filter(|b| !b.is_empty())
+            {
+                let low = w[block.clone()].iter().any(|&x| x - m < EXP_NORMAL_MIN);
+                assert!(low, "len {len}: block {block:?} is all in range");
+            }
+            let probs = assert_softmax_pinned_to(&w, libm_exps);
+            let zeros = probs.iter().filter(|&&p| p == 0.0).count();
+            assert!(2 * zeros > len, "len {len}: {zeros} cells underflowed");
+        }
     }
 
     #[test]
@@ -909,18 +1135,29 @@ mod tests {
         assert_eq!(kahan_sum(std::iter::empty()), 0.0);
     }
 
-    /// Distance in ulps between two finite doubles, through the map that
-    /// orders doubles as integers (both zeros map to 0).
+    /// The map that orders doubles as integers (both zeros map to 0),
+    /// and its inverse.
+    fn ordered(v: f64) -> i64 {
+        let b = v.to_bits() as i64;
+        if b < 0 {
+            i64::MIN - b
+        } else {
+            b
+        }
+    }
+
+    fn from_ordered(o: i64) -> f64 {
+        f64::from_bits(if o < 0 { i64::MIN - o } else { o } as u64)
+    }
+
+    /// Distance in ulps between two finite doubles.
     fn ulps(a: f64, b: f64) -> u64 {
-        let ordered = |v: f64| {
-            let b = v.to_bits() as i64;
-            if b < 0 {
-                i64::MIN - b
-            } else {
-                b
-            }
-        };
         ordered(a).abs_diff(ordered(b))
+    }
+
+    /// The `2·n + 1` doubles from `n` below `x` to `n` above it.
+    fn walk(x: f64, n: i64) -> impl Iterator<Item = f64> {
+        (-n..=n).map(move |i| from_ordered(ordered(x) + i))
     }
 
     fn assert_ln_within_one_ulp(x: f64) {
@@ -983,6 +1220,63 @@ mod tests {
         // Powers of two reduce to exactly 1 and leave only k·ln 2.
         for k in -1022..=1023 {
             assert_ln_within_one_ulp(2f64.powi(k));
+        }
+    }
+
+    fn assert_exp_within_one_ulp(x: f64) {
+        let (got, want) = (exp_normal_range(x), x.exp());
+        assert!(
+            ulps(got, want) <= 1 && got.is_normal(),
+            "exp({x:e}) = {got:e}, libm {want:e}: {} ulps",
+            ulps(got, want)
+        );
+    }
+
+    #[test]
+    fn exp_normal_range_is_within_one_ulp_over_its_domain() {
+        use crate::rng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(20_120_330);
+        // 10⁷ arguments spread uniformly over [EXP_NORMAL_MIN, 709].
+        for _ in 0..10_000_000 {
+            assert_exp_within_one_ulp(EXP_NORMAL_MIN + (709.0 - EXP_NORMAL_MIN) * rng.next_f64());
+        }
+        // 4096 doubles on each side of 0, where the reduction leaves x as
+        // it is, and of the domain's lower end.
+        for x in walk(0.0, 4096).chain(walk(EXP_NORMAL_MIN, 4096)) {
+            assert_exp_within_one_ulp(x);
+        }
+        // Around x = (k + ½)·ln 2, where the rounding of x/ln 2 flips
+        // between k and k + 1 and |r| is largest.
+        for k in (-1021..=1022).step_by(7).chain([1022]) {
+            for x in walk((f64::from(k) + 0.5) * LN_2, 2048) {
+                assert_exp_within_one_ulp(x);
+            }
+        }
+    }
+
+    #[test]
+    fn exp_normal_range_bound_follows_from_the_reduction() {
+        // k = round(x/ln 2) is −1021 at the bound and on both sides of it,
+        // and stays above −1022 up to x/ln 2 = −1021.5.
+        let inv_ln2 = f64::from_bits(0x3ff7_1547_652b_82fe);
+        for x in walk(EXP_NORMAL_MIN, 4096) {
+            assert_eq!((x * inv_ln2).round(), -1021.0, "{x}");
+            assert!(x > -1021.5 * LN_2, "{x}");
+        }
+        // ln(f64::MIN_POSITIVE) lies past the bound: there k = −1022, and
+        // a reduced value below 1 scales to a subnormal the exponent bits
+        // cannot hold.
+        assert!(f64::MIN_POSITIVE.ln() < -1021.5 * LN_2);
+        assert_eq!((f64::MIN_POSITIVE.ln() * inv_ln2).round(), -1022.0);
+    }
+
+    #[test]
+    fn exp_normal_range_of_zero_is_exactly_one() {
+        assert_eq!(exp_normal_range(0.0).to_bits(), 1.0f64.to_bits());
+        assert_eq!(exp_normal_range(-0.0).to_bits(), 1.0f64.to_bits());
+        // Multiples of ln 2 reduce to r ≈ 0 and leave only the scaling.
+        for k in -1021..=1022 {
+            assert_exp_within_one_ulp(f64::from(k) * LN_2);
         }
     }
 

@@ -1,127 +1,138 @@
-//! Large-alphabet kernel and worker-pool stress bench, with a
-//! machine-readable `BENCH_kernels.json` artifact.
+//! Kernel benches, each against the code it replaced: the worker pool,
+//! the softmax and its `exp`, Blahut–Arimoto (BA), the channel scans,
+//! exponential-mechanism selection and the MH chain. Writes
+//! `BENCH_kernels.json` (see the `dplearn_bench` crate docs for the
+//! smoke switch and the path).
 //!
-//! Sections (each run at 1 and 4 configured workers):
+//! Sections, each at 1 and 4 configured workers unless noted. The
+//! artifact's `hardware_threads` tells a 1-core host, where 4 workers
+//! can at best tie 1, from a multicore one.
 //!
-//! * `pool_dispatch` — per-section latency of a minimal parallel section
-//!   through the persistent worker pool vs a faithful scoped-spawn
-//!   replica of the pre-pool dispatcher (one `thread::scope` + helper
-//!   spawns per section). This is the overhead every Blahut–Arimoto
-//!   iteration pays twice (row pass + column pass).
-//! * `softmax` — `softmax_in_place` (one `exp` per cell, four lanes) vs
-//!   the two-`exp` fold it replaced (`log_sum_exp`'s Kahan normalizer,
-//!   then `exp(x − z)` per cell) across vector lengths. The CI smoke job
-//!   asserts the kernel is at least 1.4× faster at 1024 cells on 1
-//!   worker: it does half the `exp` calls, so the gain needs no second
-//!   core.
-//! * `exp` — `softmax_in_place` (the in-crate `exp`, with `f64::exp` on
-//!   any 1024-cell block that holds an argument below its range) vs the
-//!   same pass with `f64::exp` on every cell, at 2¹⁶ cells on 1 worker,
-//!   once over normal-range arguments and once over mostly-underflowing
-//!   ones (a λ = 2000 Gibbs row). The CI smoke job asserts that on the
-//!   underflowing input the in-crate pass takes at most 1.5× the libm
-//!   pass: every block falls back, so it costs a pre-scan more.
-//! * `blahut_arimoto` — fixed-iteration BA solves (`tol = 0` runs
-//!   exactly `iters` iterations, so the work is identical at every
-//!   thread count) on alphabets up to 4096 symbols.
-//! * `leakage` — mutual information and min-entropy leakage of a dense
-//!   structured channel at large alphabet sizes, timed on the boxed-row
-//!   folds (one `Vec` per row) the library ran before its channel kept
-//!   one flat buffer. They are local replicas here, so this section keeps
-//!   measuring what its committed baseline measured; the library's own
-//!   kernels are timed by `mi_scale`.
-//!
-//! Size lists are env-configurable (`DPLEARN_BENCH_KERNELS_BA`,
-//! `DPLEARN_BENCH_KERNELS_MI`, `DPLEARN_BENCH_KERNELS_SOFTMAX`,
-//! comma-separated; alphabet sizes up to 4096 are
-//! supported — the defaults stop earlier to keep smoke runs short).
-//! Results land in `BENCH_kernels.json` (override via
-//! `DPLEARN_BENCH_KERNELS_JSON`). The artifact records
-//! `hardware_threads` so consumers can tell a 1-core container (where
-//! threads=4 can at best tie threads=1) from a multicore runner (where
-//! the CI smoke job asserts the parallel BA path is not slower than
-//! serial).
-//!
-//! Not a criterion harness: the run *is* the measurement, so CI can
-//! treat it as a smoke test and scrape the JSON.
+//! * `pool_dispatch` — per-section latency of an empty parallel section
+//!   through the persistent pool vs a scoped-spawn replica of the
+//!   pre-pool dispatcher. At 1 worker both run inline.
+//! * `softmax` — `softmax_in_place` (one `exp` per cell) vs the two-`exp`
+//!   fold it replaced (`log_sum_exp`, then `exp(x − z)` per cell). CI
+//!   asserts ≥ 1.4× at 1024 cells on 1 worker: the gain is half the
+//!   `exp` calls, so it needs no second core.
+//! * `exp` (1 worker) — `softmax_in_place` vs the same pass with libm
+//!   `exp` on every cell, at 2¹⁶ cells over normal-range and mostly
+//!   underflowing (λ = 2000 Gibbs row) arguments. CI asserts the
+//!   underflowing pass takes at most 1.5× the libm pass: every block
+//!   falls back, so it costs a pre-scan more.
+//! * `blahut_arimoto` — fixed-iteration solves (`tol = 0` runs exactly
+//!   `iterations`, so the work is the same at every worker count). CI
+//!   compares 4 workers with 1 at 96 and at 4096 symbols.
+//! * `ba_gibbs_cache` — a converged solve, which builds its Gibbs kernel
+//!   once, vs a replica that rebuilds it every iteration; kernels and
+//!   iteration counts are asserted bit-identical.
+//! * `mutual_information`, `leakage` (min-entropy) and `realized_eps`
+//!   (E14's 64-row Gibbs channel) — the library's blocked kernels vs
+//!   replicas of the boxed-row folds they replaced. Above [`NAIVE_CAP`]
+//!   symbols the replicas are skipped (`null`). CI asserts the leakage
+//!   scan ≥ 1.5× and realized ε ≥ 5× at 4096 symbols on 1 worker.
+//! * `mh_chain` — `MetropolisGibbs::run` vs a replica of the loop before
+//!   its caches; retained samples are asserted bit-identical.
+//! * `selection` (1 worker: draws never reach the pool) — per-draw
+//!   `select_with_temperature`, one prepare plus O(1) prepared draws,
+//!   and per-draw Gumbel-max, at EXPERIMENTS.md A1's sizes and at 512
+//!   candidates; prepared draws are asserted bit-identical to
+//!   `select_with_temperature` over 1000 draws.
 
 use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, BaOptions, RateDistortion};
+use dplearn::infotheory::channel::DiscreteChannel;
 use dplearn::infotheory::InfoError;
+use dplearn::mechanisms::exponential::ExponentialMechanism;
+use dplearn::numerics::distributions::{Gaussian, Sample};
+use dplearn::numerics::rng::{Rng, Xoshiro256};
 use dplearn::numerics::special::{log_sum_exp, softmax_in_place, xlogx_over_y, EXP_NORMAL_MIN};
+use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
+use dplearn::pacbayes::posterior::DiagGaussian;
 use dplearn::telemetry::NoopRecorder;
+use dplearn_bench::Report;
 use std::hint::black_box;
-use std::io::Write;
-use std::time::Instant;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+struct Sizes {
+    softmax: &'static [usize],
+    /// (alphabet, fixed iterations).
+    ba: &'static [(usize, usize)],
+    ba_cache: usize,
+    channel: &'static [usize],
+    selection: &'static [usize],
+    draws: usize,
 }
 
-fn env_sizes(key: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(key)
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
+const FULL: Sizes = Sizes {
+    softmax: &[64, 1024, 16384],
+    ba: &[
+        (32, 200),
+        (96, 200),
+        (256, 200),
+        (1024, 8),
+        (4096, 8),
+        (10240, 2),
+    ],
+    ba_cache: 96,
+    channel: &[1024, 4096, 10240],
+    selection: &[16, 256, 512],
+    draws: 20_000,
+};
 
-/// Median wall time of `reps` runs of `f`, in seconds.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
+const SMOKE: Sizes = Sizes {
+    softmax: &[1024],
+    ba: &[(96, 200), (1024, 4), (4096, 4)],
+    ba_cache: 32,
+    channel: &[1024, 4096],
+    selection: &[128],
+    draws: 4_000,
+};
+
+/// Alphabets above this skip the boxed replicas: their quadratic
+/// pointer chasing is what the library kernels removed.
+const NAIVE_CAP: usize = 8192;
+
+/// Column/row tile of the blocked channel scans: 256 doubles, 2 KB per
+/// stripe.
+const TILE: usize = 256;
 
 // ---------------------------------------------------------------------
-// Section 1: pool dispatch vs scoped spawn.
+// Pool dispatch.
 // ---------------------------------------------------------------------
 
-/// Per-section latency in microseconds: (persistent pool, scoped-spawn
-/// replica). The section body is a no-op per chunk, so the entire time
-/// is dispatch — parking/waking for the pool, thread creation for the
-/// replica. At 1 configured worker both paths run inline and the
-/// numbers measure the serial fast path.
-fn bench_dispatch(reps: usize) -> (f64, f64) {
+fn bench_dispatch(r: &mut Report) {
     const SECTIONS: usize = 2_000;
     let workers = dplearn::parallel::thread_count();
     let chunks = workers.max(2);
-    // Warm the pool so worker-thread creation is not billed to the
-    // steady-state sections.
-    black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
-    let pool = median_secs(reps, || {
+    let pool = r.time(|| {
         for _ in 0..SECTIONS {
             black_box(dplearn::parallel::par_map_indexed(chunks, 0, |k| k));
         }
     });
-    let spawn = median_secs(reps, || {
-        let helpers = workers.saturating_sub(1);
+    let spawn = r.time(|| {
         for _ in 0..SECTIONS {
             std::thread::scope(|s| {
-                for _ in 0..helpers {
+                for _ in 1..workers {
                     s.spawn(|| black_box(0usize));
                 }
-                black_box(0usize)
             });
         }
     });
-    (pool / SECTIONS as f64 * 1e6, spawn / SECTIONS as f64 * 1e6)
+    let us = 1e6 / SECTIONS as f64;
+    r.section(
+        "pool_dispatch",
+        &[
+            ("sections", SECTIONS.into()),
+            ("pool_us_per_section", pool.scaled(us).into()),
+            ("scoped_spawn_us_per_section", spawn.scaled(us).into()),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------
-// Section 2: softmax.
+// Softmax and its exp.
 // ---------------------------------------------------------------------
 
-/// The two-`exp` fold `softmax_in_place` replaced: `log_sum_exp`'s
-/// Kahan normalizer `z`, then `exp(x − z)` per cell into `out`.
+/// The two-`exp` fold `softmax_in_place` replaced.
 fn two_exp_fold(xs: &[f64], out: &mut [f64]) -> f64 {
     let z = log_sum_exp(xs);
     for (o, &x) in out.iter_mut().zip(xs) {
@@ -130,10 +141,10 @@ fn two_exp_fold(xs: &[f64], out: &mut [f64]) -> f64 {
     z
 }
 
-/// Seconds per pass: (two-`exp` fold, `softmax_in_place`). The kernel
-/// overwrites its input, so each of its passes first copies the log
+/// The kernel overwrites its input, so each pass first copies the log
 /// weights in, as `FinitePosterior::from_log_weights` does.
-fn bench_softmax(len: usize, reps: usize) -> (f64, f64) {
+fn bench_softmax(r: &mut Report, len: usize) {
+    const PASSES: usize = 2_000;
     let xs: Vec<f64> = (0..len)
         .map(|i| ((i * 37) % 101) as f64 / 7.0 - 6.0)
         .collect();
@@ -151,15 +162,14 @@ fn bench_softmax(len: usize, reps: usize) -> (f64, f64) {
             .all(|(p, q)| (p - q).abs() <= 1e-12 * p),
         "softmax probabilities drifted from the two-exp fold"
     );
-    const PASSES: usize = 2_000;
-    let old = median_secs(reps, || {
+    let old = r.time(|| {
         let mut acc = 0.0;
         for _ in 0..PASSES {
             acc += two_exp_fold(black_box(&xs), &mut fold);
         }
         black_box((acc, &fold));
     });
-    let new = median_secs(reps, || {
+    let new = r.time(|| {
         let mut acc = 0.0;
         for _ in 0..PASSES {
             kernel.copy_from_slice(black_box(&xs));
@@ -167,18 +177,22 @@ fn bench_softmax(len: usize, reps: usize) -> (f64, f64) {
         }
         black_box((acc, &kernel));
     });
-    (old / PASSES as f64, new / PASSES as f64)
+    let ns = 1e9 / PASSES as f64;
+    r.section(
+        "softmax",
+        &[
+            ("len", len.into()),
+            ("two_exp_fold_ns", old.scaled(ns).into()),
+            ("softmax_ns", new.scaled(ns).into()),
+        ],
+    );
 }
-
-// ---------------------------------------------------------------------
-// Section 3: the in-crate exp against libm, inside the softmax pass.
-// ---------------------------------------------------------------------
 
 /// Cells of each `exp` pass.
 const EXP_CELLS: usize = 1 << 16;
 
-/// `softmax_in_place` with `f64::exp` on every cell, as it ran before the
-/// in-crate `exp`: the baseline of the `exp` section.
+/// `softmax_in_place` with libm `exp` on every cell, as it ran before
+/// the in-crate `exp`.
 fn libm_softmax(w: &mut [f64]) -> f64 {
     let mut lane_max = [f64::NEG_INFINITY; 4];
     for c in w.chunks_exact(4) {
@@ -215,10 +229,9 @@ fn libm_softmax(w: &mut [f64]) -> f64 {
     m + sum.ln()
 }
 
-/// Log weights for the `exp` section: arguments in (−15, 0] when
-/// `underflow` is false; otherwise a Gibbs row at λ = 2000 over risks
-/// spread on [0, 1), whose arguments reach −2000 and mostly lie below
-/// the in-crate `exp`'s range.
+/// Arguments in (−15, 0], or a Gibbs row at λ = 2000 over risks spread
+/// on [0, 1), whose arguments mostly lie below the in-crate `exp`'s
+/// range.
 fn exp_inputs(underflow: bool) -> Vec<f64> {
     (0..EXP_CELLS)
         .map(|i| {
@@ -231,10 +244,10 @@ fn exp_inputs(underflow: bool) -> Vec<f64> {
         .collect()
 }
 
-/// Seconds per pass: (`f64::exp` on every cell, `softmax_in_place`).
-/// Both copy the log weights in first. On the underflowing input every
-/// block falls back to `f64::exp`, so the two agree bit for bit.
-fn bench_exp(underflow: bool, reps: usize) -> (f64, f64) {
+/// On the underflowing input every block falls back to libm, so the
+/// two passes agree bit for bit.
+fn bench_exp(r: &mut Report, input: &'static str, underflow: bool) {
+    const PASSES: usize = 100;
     let xs = exp_inputs(underflow);
     let below = xs.iter().filter(|&&x| x < EXP_NORMAL_MIN).count();
     assert_eq!(
@@ -262,8 +275,7 @@ fn bench_exp(underflow: bool, reps: usize) -> (f64, f64) {
             "in-crate exp drifted from f64::exp"
         );
     }
-    const PASSES: usize = 100;
-    let old = median_secs(reps, || {
+    let old = r.time(|| {
         let mut acc = 0.0;
         for _ in 0..PASSES {
             libm.copy_from_slice(black_box(&xs));
@@ -271,7 +283,7 @@ fn bench_exp(underflow: bool, reps: usize) -> (f64, f64) {
         }
         black_box((acc, &libm));
     });
-    let new = median_secs(reps, || {
+    let new = r.time(|| {
         let mut acc = 0.0;
         for _ in 0..PASSES {
             kernel.copy_from_slice(black_box(&xs));
@@ -279,12 +291,23 @@ fn bench_exp(underflow: bool, reps: usize) -> (f64, f64) {
         }
         black_box((acc, &kernel));
     });
-    (old / PASSES as f64, new / PASSES as f64)
+    let ns = 1e9 / PASSES as f64;
+    r.section(
+        "exp",
+        &[
+            ("input", input.into()),
+            ("len", EXP_CELLS.into()),
+            ("libm_ns", old.scaled(ns).into()),
+            ("in_crate_ns", new.scaled(ns).into()),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------
-// Section 4: fixed-iteration Blahut–Arimoto at large alphabets.
+// Blahut–Arimoto.
 // ---------------------------------------------------------------------
+
+const BA_BETA: f64 = 8.0;
 
 fn ba_problem(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
     let raw: Vec<f64> = (0..n).map(|x| 1.0 + (x % 3) as f64).collect();
@@ -315,47 +338,232 @@ fn run_fixed_iters(result: Result<RateDistortion, InfoError>) {
     }
 }
 
-/// Time `iters` fixed BA iterations (tol = 0 never converges early, so
-/// every run does identical work at every thread count), in seconds.
-fn bench_ba(n: usize, iters: usize, reps: usize) -> f64 {
+fn bench_ba(r: &mut Report, n: usize, iterations: usize) {
     let (source, distortion) = ba_problem(n);
-    let beta = 8.0;
-    let opts = BaOptions::new(0.0, iters);
-    median_secs(reps, || {
+    let opts = BaOptions::new(0.0, iterations);
+    let t = r.time(|| {
         run_fixed_iters(blahut_arimoto(
             &source,
             &distortion,
-            beta,
+            BA_BETA,
             &opts,
             &NoopRecorder,
         ));
-    })
+    });
+    r.section(
+        "blahut_arimoto",
+        &[
+            ("alphabet", n.into()),
+            ("iterations", iterations.into()),
+            ("seconds", t.into()),
+        ],
+    );
+}
+
+/// `Σ_y r(y)·a(y)` in the solver's association: four lanes by `y mod 4`,
+/// combined as `(l₀+l₁)+(l₂+l₃)`, then the leftover products in order.
+fn lane_sum(r: &[f64], a: &[f64]) -> f64 {
+    let full = r.len() - r.len() % 4;
+    let mut lanes = [0.0f64; 4];
+    for y in 0..full {
+        lanes[y % 4] += r[y] * a[y];
+    }
+    let mut tail = 0.0;
+    for y in full..r.len() {
+        tail += r[y] * a[y];
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
+/// The row-shifted Gibbs kernel `A(x,y) = exp(min_y β·d(x,y) − β·d(x,y))`
+/// of one row.
+fn gibbs_row(row_d: &[f64], beta: f64, out: &mut [f64]) {
+    let shift = row_d
+        .iter()
+        .map(|&d| beta * d)
+        .fold(f64::INFINITY, f64::min);
+    for (a, &d) in out.iter_mut().zip(row_d) {
+        *a = (shift - beta * d).exp();
+    }
+}
+
+/// Blahut–Arimoto's multiplicative iteration without the solver's cache:
+/// the same arithmetic order, with `A` built in parallel row chunks and
+/// the column pass in parallel column chunks, but `A` is rebuilt (one
+/// `exp` per cell) into fresh buffers every iteration instead of once
+/// per solve. No row of this problem needs the solver's log-space
+/// fallback (asserted), so the kernels are bit-identical.
+fn uncached_ba(
+    source: &[f64],
+    distortion: &[Vec<f64>],
+    beta: f64,
+    tol: f64,
+    max_iters: usize,
+) -> (Vec<Vec<f64>>, usize) {
+    let (nx, ny) = (source.len(), distortion[0].len());
+    let mut r = vec![1.0 / ny as f64; ny];
+    let mut used = r.clone();
+    let mut iterations = 0usize;
+    let row_chunk = nx.div_ceil(64).max(1);
+    let col_chunk = ny.div_ceil(64).max(64);
+    while iterations < max_iters {
+        iterations += 1;
+        let mut gibbs = vec![vec![0.0; ny]; nx];
+        // The solver's serial-cutover cost hints (≈ 8 ns per `A` cell,
+        // ≈ 1 ns per column-pass cell), so both sides parallelize alike.
+        dplearn::parallel::par_for_each_chunk_mut(
+            &mut gibbs,
+            row_chunk,
+            8 * ny as u64,
+            |_chunk, start, rows| {
+                for (offset, row) in rows.iter_mut().enumerate() {
+                    gibbs_row(&distortion[start + offset], beta, row);
+                }
+            },
+        );
+        let weight: Vec<f64> = source
+            .iter()
+            .zip(&gibbs)
+            .map(|(&px, row)| {
+                let s = lane_sum(&r, row);
+                assert!(
+                    s >= 1e-16 && s.is_finite(),
+                    "row sum {s} needs the fallback"
+                );
+                if px == 0.0 {
+                    0.0
+                } else {
+                    px / s
+                }
+            })
+            .collect();
+        let mut new_r = vec![0.0; ny];
+        {
+            let (gibbs, r) = (&gibbs, &r);
+            dplearn::parallel::par_for_each_chunk_mut(
+                &mut new_r,
+                col_chunk,
+                nx as u64,
+                |_chunk, start, cols| {
+                    let width = cols.len();
+                    for (&wx, row) in weight.iter().zip(gibbs) {
+                        for (c, &a) in cols.iter_mut().zip(&row[start..start + width]) {
+                            *c += wx * a;
+                        }
+                    }
+                    for (c, &ry) in cols.iter_mut().zip(&r[start..start + width]) {
+                        *c *= ry;
+                    }
+                },
+            );
+        }
+        let gap = r
+            .iter()
+            .zip(&new_r)
+            .map(|(&a, &b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        used = std::mem::replace(&mut r, new_r);
+        if gap < tol {
+            break;
+        }
+    }
+    for ry in &mut used {
+        if *ry < f64::MIN_POSITIVE {
+            *ry = 0.0;
+        }
+    }
+    let mut a = vec![0.0; ny];
+    let kernel = distortion
+        .iter()
+        .map(|row_d| {
+            gibbs_row(row_d, beta, &mut a);
+            let s = lane_sum(&used, &a);
+            used.iter()
+                .zip(&a)
+                .map(|(&ry, &axy)| ry * axy / s)
+                .collect()
+        })
+        .collect();
+    (kernel, iterations)
+}
+
+fn bench_ba_cache(r: &mut Report, n: usize) {
+    let (source, distortion) = ba_problem(n);
+    let (tol, max_iters) = (1e-6, 50_000);
+    let opts = BaOptions::new(tol, max_iters);
+    let rd = blahut_arimoto(&source, &distortion, BA_BETA, &opts, &NoopRecorder).unwrap();
+    let (naive_kernel, naive_iters) = uncached_ba(&source, &distortion, BA_BETA, tol, max_iters);
+    assert_eq!(rd.iterations, naive_iters, "iteration counts must match");
+    for (a, b) in rd.channel.rows().zip(&naive_kernel) {
+        for (&qa, &qb) in a.iter().zip(b) {
+            assert_eq!(qa.to_bits(), qb.to_bits(), "kernels must be bit-identical");
+        }
+    }
+    let uncached = r.time(|| {
+        black_box(uncached_ba(&source, &distortion, BA_BETA, tol, max_iters));
+    });
+    let cached = r.time(|| {
+        black_box(blahut_arimoto(&source, &distortion, BA_BETA, &opts, &NoopRecorder).unwrap());
+    });
+    r.section(
+        "ba_gibbs_cache",
+        &[
+            ("alphabet", n.into()),
+            ("iterations", naive_iters.into()),
+            ("uncached_seconds", uncached.into()),
+            ("cached_seconds", cached.into()),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------
-// Section 5: leakage / mutual-information stress.
+// Channel scans: mutual information, min-entropy leakage, realized ε.
 // ---------------------------------------------------------------------
 
-/// Input distribution and boxed kernel rows.
-fn leakage_channel(n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+/// Dense structured channel of the MI and leakage sections.
+fn scale_channel(n: usize) -> DiscreteChannel {
     let input: Vec<f64> = {
         let raw: Vec<f64> = (0..n).map(|x| 1.0 + ((x * 13) % 7) as f64).collect();
         let z: f64 = raw.iter().sum();
         raw.into_iter().map(|w| w / z).collect()
     };
-    let kernel: Vec<Vec<f64>> = (0..n)
-        .map(|x| {
-            let raw: Vec<f64> = (0..n)
-                .map(|y| {
-                    let d = (x as i64 - y as i64).unsigned_abs() as f64;
-                    1.0 / (1.0 + d * d / n as f64)
-                })
-                .collect();
-            let z: f64 = raw.iter().sum();
-            raw.into_iter().map(|w| w / z).collect()
-        })
-        .collect();
-    (input, kernel)
+    let mut kernel = Vec::with_capacity(n * n);
+    for x in 0..n {
+        let start = kernel.len();
+        let mut z = 0.0;
+        for y in 0..n {
+            let d = (x as i64 - y as i64).unsigned_abs() as f64;
+            let w = 1.0 / (1.0 + d * d / n as f64);
+            kernel.push(w);
+            z += w;
+        }
+        for w in &mut kernel[start..] {
+            *w /= z;
+        }
+    }
+    DiscreteChannel::new(input, kernel, n).unwrap()
+}
+
+/// Rows of the realized-ε channel: E14's secret count.
+const EPS_ROWS: usize = 64;
+
+/// E14's Gibbs-selection channel: [`EPS_ROWS`] rows
+/// `p(θ|x) ∝ exp(s_x(θ))` over `n` hypotheses, scores uniform in [0, 1),
+/// so every row log-ratio is below 2.
+fn gibbs_channel(n: usize) -> DiscreteChannel {
+    let mut rng = Xoshiro256::seed_from(n as u64);
+    let mut kernel = Vec::with_capacity(EPS_ROWS * n);
+    for _ in 0..EPS_ROWS {
+        let row = kernel.len();
+        kernel.extend((0..n).map(|_| rng.next_f64()));
+        softmax_in_place(&mut kernel[row..]);
+    }
+    DiscreteChannel::new(vec![1.0 / EPS_ROWS as f64; EPS_ROWS], kernel, n).unwrap()
+}
+
+/// One `Vec` per kernel row, as the boxed-row replicas read them.
+fn boxed_rows(ch: &DiscreteChannel) -> Vec<Vec<f64>> {
+    ch.rows().map(<[f64]>::to_vec).collect()
 }
 
 /// Replica of the boxed-row MI fold: the output marginal, then one
@@ -380,8 +588,7 @@ fn boxed_mutual_information(input: &[f64], rows: &[Vec<f64>]) -> f64 {
 }
 
 /// Replica of the boxed-row min-entropy leakage: the column-major
-/// posterior-vulnerability scan (one row pointer chase per row per
-/// output symbol) over the prior vulnerability, in bits.
+/// posterior-vulnerability scan over the prior vulnerability, in bits.
 fn boxed_min_entropy_leakage_bits(input: &[f64], rows: &[Vec<f64>]) -> f64 {
     let mut posterior = 0.0;
     for y in 0..rows.first().map_or(0, Vec::len) {
@@ -394,134 +601,283 @@ fn boxed_min_entropy_leakage_bits(input: &[f64], rows: &[Vec<f64>]) -> f64 {
     (posterior / input.iter().copied().fold(0.0, f64::max)).log2()
 }
 
-/// Returns (mutual_information_seconds, min_entropy_leakage_seconds).
-fn bench_leakage(n: usize, reps: usize) -> (f64, f64) {
-    let (input, rows) = leakage_channel(n);
-    let mi = median_secs(reps, || {
-        black_box(boxed_mutual_information(&input, &rows));
+/// Replica of the boxed pairwise row-ratio scan: `|ln(a/b)|` for every
+/// row pair and column.
+fn boxed_max_row_log_ratio(rows: &[Vec<f64>]) -> f64 {
+    let mut worst = 0.0f64;
+    for (i, row_i) in rows.iter().enumerate() {
+        for row_j in rows.iter().skip(i + 1) {
+            for (&a, &b) in row_i.iter().zip(row_j) {
+                if a == 0.0 && b == 0.0 {
+                    continue;
+                }
+                if a == 0.0 || b == 0.0 {
+                    return f64::INFINITY;
+                }
+                worst = worst.max((a / b).ln().abs());
+            }
+        }
+    }
+    worst
+}
+
+fn bench_scale_channel(r: &mut Report, n: usize) {
+    let ch = scale_channel(n);
+    let boxed = (n <= NAIVE_CAP).then(|| boxed_rows(&ch));
+    let naive = boxed.as_ref().map(|rows| {
+        r.time(|| {
+            black_box(boxed_mutual_information(ch.input(), rows));
+        })
     });
-    let mel = median_secs(reps, || {
-        black_box(boxed_min_entropy_leakage_bits(&input, &rows));
+    let tiled = r.time(|| {
+        black_box(ch.mutual_information_blocked(TILE).unwrap());
     });
-    (mi, mel)
+    r.section(
+        "mutual_information",
+        &[
+            ("alphabet", n.into()),
+            ("naive_seconds", naive.into()),
+            ("tiled_seconds", tiled.into()),
+        ],
+    );
+    let naive = boxed.as_ref().map(|rows| {
+        r.time(|| {
+            black_box(boxed_min_entropy_leakage_bits(ch.input(), rows));
+        })
+    });
+    let tiled = r.time(|| {
+        black_box(ch.min_entropy_leakage_bits_blocked(TILE).unwrap());
+    });
+    r.section(
+        "leakage",
+        &[
+            ("alphabet", n.into()),
+            ("naive_seconds", naive.into()),
+            ("tiled_seconds", tiled.into()),
+        ],
+    );
+}
+
+fn bench_realized_eps(r: &mut Report, n: usize) {
+    let ch = gibbs_channel(n);
+    let naive = (n <= NAIVE_CAP).then(|| {
+        let rows = boxed_rows(&ch);
+        r.time(|| {
+            black_box(boxed_max_row_log_ratio(&rows));
+        })
+    });
+    let tiled = r.time(|| {
+        black_box(ch.max_row_log_ratio_blocked(TILE).unwrap());
+    });
+    r.section(
+        "realized_eps",
+        &[
+            ("alphabet", n.into()),
+            ("rows", EPS_ROWS.into()),
+            ("naive_seconds", naive.into()),
+            ("tiled_seconds", tiled.into()),
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// Metropolis–Hastings chain.
+// ---------------------------------------------------------------------
+
+/// The prior log-density as `DiagGaussian::ln_pdf` computed it before
+/// the `ln σ` cache: one logarithm per coordinate per call. Same
+/// expression tree, so the values (and hence the chain) are
+/// bit-identical.
+fn uncached_diag_ln_pdf(mean: &[f64], std: &[f64], x: &[f64]) -> f64 {
+    let half_ln_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
+    x.iter()
+        .zip(mean.iter().zip(std))
+        .map(|(&xi, (&m, &s))| {
+            let z = (xi - m) / s;
+            -0.5 * z * z - s.ln() - half_ln_2pi
+        })
+        .sum()
+}
+
+/// Replica of `MetropolisGibbs::run` before its caches: the uncached
+/// prior density and a fresh proposal vector every iteration. Consumes
+/// the RNG exactly as the current sampler does.
+fn uncached_mh_run(
+    prior: &DiagGaussian,
+    risk: impl Fn(&[f64]) -> f64,
+    lambda: f64,
+    cfg: &MhConfig,
+    rng: &mut Xoshiro256,
+) -> Vec<Vec<f64>> {
+    let log_target =
+        |x: &[f64]| uncached_diag_ln_pdf(prior.mean(), prior.std(), x) - lambda * risk(x);
+    let mut theta: Vec<f64> = prior.mean().to_vec();
+    let mut log_p = log_target(&theta);
+    let mut step = cfg.initial_step;
+    let gauss = Gaussian::standard();
+
+    let total = cfg.burn_in + cfg.n_samples * cfg.thin;
+    let mut samples = Vec::with_capacity(cfg.n_samples);
+    let mut window_accepts = 0usize;
+    for it in 0..total {
+        let proposal: Vec<f64> = theta
+            .iter()
+            .map(|&t| t + step * gauss.sample(rng))
+            .collect();
+        let log_q = log_target(&proposal);
+        let accept = (log_q - log_p) >= rng.next_open_f64().ln();
+        if accept {
+            theta = proposal;
+            log_p = log_q;
+        }
+        if it < cfg.burn_in {
+            if accept {
+                window_accepts += 1;
+            }
+            if (it + 1) % 100 == 0 {
+                let rate = window_accepts as f64 / 100.0;
+                if rate > 0.35 {
+                    step *= 1.2;
+                } else if rate < 0.25 {
+                    step /= 1.2;
+                }
+                window_accepts = 0;
+            }
+        } else if (it - cfg.burn_in + 1).is_multiple_of(cfg.thin) {
+            samples.push(theta.clone());
+        }
+    }
+    samples
+}
+
+fn bench_mh(r: &mut Report) {
+    const DIM: usize = 32;
+    const SEED: u64 = 0x4D48_5EED;
+    let prior = DiagGaussian::isotropic(DIM, 1.0).unwrap();
+    let lambda = 2.0;
+    let risk = |t: &[f64]| 0.5 * t.iter().map(|&v| (v - 0.7) * (v - 0.7)).sum::<f64>();
+    let cfg = MhConfig {
+        burn_in: 2000,
+        n_samples: 2000,
+        thin: 2,
+        initial_step: 0.4,
+    };
+    let iterations = cfg.burn_in + cfg.n_samples * cfg.thin;
+    let mh = MetropolisGibbs::new(&prior, risk, lambda, cfg.clone()).unwrap();
+
+    let (fast, _) = mh.run(&mut Xoshiro256::seed_from(SEED));
+    let slow = uncached_mh_run(&prior, risk, lambda, &cfg, &mut Xoshiro256::seed_from(SEED));
+    assert_eq!(
+        fast, slow,
+        "cached chain must be bit-identical to the replica"
+    );
+
+    let uncached = r.time(|| {
+        let mut rng = Xoshiro256::seed_from(SEED);
+        black_box(uncached_mh_run(&prior, risk, lambda, &cfg, &mut rng));
+    });
+    let cached = r.time(|| {
+        black_box(mh.run(&mut Xoshiro256::seed_from(SEED)));
+    });
+    r.section(
+        "mh_chain",
+        &[
+            ("dim", DIM.into()),
+            ("iterations", iterations.into()),
+            ("uncached_seconds", uncached.into()),
+            ("cached_seconds", cached.into()),
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// Exponential-mechanism selection.
+// ---------------------------------------------------------------------
+
+fn bench_selection(r: &mut Report, k: usize, draws: usize) {
+    const SEED: u64 = 0x5E1EC7;
+    let mech = ExponentialMechanism::new(k, 1.0).unwrap();
+    let scores: Vec<f64> = (0..k).map(|i| ((i * 37) % 100) as f64 / 10.0).collect();
+    let t = 0.5; // ε = 2tΔq = 1 at sensitivity 1.
+
+    // Prepared draws consume the RNG exactly as `select` does.
+    let mut ra = Xoshiro256::seed_from(SEED);
+    let mut rb = ra.clone();
+    let prepared = mech.prepare_with_temperature(&scores, t).unwrap();
+    for _ in 0..1000 {
+        assert_eq!(
+            mech.select_with_temperature(&scores, t, &mut ra).unwrap(),
+            prepared.draw(&mut rb),
+            "prepared draws must be bit-identical to select()"
+        );
+    }
+
+    let per_draw = r.time(|| {
+        let mut rng = Xoshiro256::seed_from(SEED);
+        let mut acc = 0usize;
+        for _ in 0..draws {
+            acc ^= mech.select_with_temperature(&scores, t, &mut rng).unwrap();
+        }
+        black_box(acc);
+    });
+    // The prepare is part of the amortized path: paid once per `draws`.
+    let prepared = r.time(|| {
+        let mut rng = Xoshiro256::seed_from(SEED);
+        let p = mech.prepare_with_temperature(&scores, t).unwrap();
+        let mut acc = 0usize;
+        for _ in 0..draws {
+            acc ^= p.draw(&mut rng);
+        }
+        black_box(acc);
+    });
+    let gumbel = r.time(|| {
+        let mut rng = Xoshiro256::seed_from(SEED);
+        let mut acc = 0usize;
+        for _ in 0..draws {
+            acc ^= mech.select_gumbel(&scores, t, &mut rng).unwrap();
+        }
+        black_box(acc);
+    });
+    r.section(
+        "selection",
+        &[
+            ("candidates", k.into()),
+            ("draws", draws.into()),
+            ("select_seconds", per_draw.into()),
+            ("prepared_seconds", prepared.into()),
+            ("gumbel_seconds", gumbel.into()),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------
 
-struct Row {
-    section: &'static str,
-    threads: usize,
-    fields: String,
-}
-
-fn main() {
-    let reps = env_usize("DPLEARN_BENCH_KERNELS_REPS", 3);
-    let ba_iters = env_usize("DPLEARN_BENCH_KERNELS_BA_ITERS", 200);
-    let ba_sizes = env_sizes("DPLEARN_BENCH_KERNELS_BA", &[32, 96, 256]);
-    let mi_sizes = env_sizes("DPLEARN_BENCH_KERNELS_MI", &[256, 1024]);
-    let softmax_lens = env_sizes("DPLEARN_BENCH_KERNELS_SOFTMAX", &[64, 1024, 16384]);
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let mut rows: Vec<Row> = Vec::new();
-    for &threads in &[1usize, 4] {
+fn main() -> std::io::Result<()> {
+    let mut r = Report::new("kernels", 3);
+    let sizes = if r.smoke() { SMOKE } else { FULL };
+    for threads in [1, 4] {
         dplearn::parallel::set_thread_count(threads);
-
-        let (pool_us, spawn_us) = bench_dispatch(reps);
-        rows.push(Row {
-            section: "pool_dispatch",
-            threads,
-            fields: format!(
-                "\"pool_us_per_section\": {pool_us:.3}, \
-                 \"scoped_spawn_us_per_section\": {spawn_us:.3}, \
-                 \"spawn_over_pool\": {:.2}",
-                spawn_us / pool_us.max(1e-9)
-            ),
-        });
-
-        for &len in &softmax_lens {
-            let (fold, kernel) = bench_softmax(len, reps);
-            rows.push(Row {
-                section: "softmax",
-                threads,
-                fields: format!(
-                    "\"len\": {len}, \"two_exp_fold_ns\": {:.1}, \"softmax_ns\": {:.1}, \
-                     \"speedup\": {:.3}",
-                    fold * 1e9,
-                    kernel * 1e9,
-                    fold / kernel
-                ),
-            });
+        bench_dispatch(&mut r);
+        for &len in sizes.softmax {
+            bench_softmax(&mut r, len);
         }
-
         if threads == 1 {
-            for (input, underflow) in [("normal", false), ("underflow", true)] {
-                let (libm, kernel) = bench_exp(underflow, reps);
-                rows.push(Row {
-                    section: "exp",
-                    threads,
-                    fields: format!(
-                        "\"input\": \"{input}\", \"len\": {EXP_CELLS}, \"libm_ns\": {:.1}, \
-                         \"in_crate_ns\": {:.1}, \"speedup\": {:.3}",
-                        libm * 1e9,
-                        kernel * 1e9,
-                        libm / kernel
-                    ),
-                });
+            bench_exp(&mut r, "normal", false);
+            bench_exp(&mut r, "underflow", true);
+            for &k in sizes.selection {
+                bench_selection(&mut r, k, sizes.draws);
             }
         }
-
-        for &n in &ba_sizes {
-            let default = bench_ba(n, ba_iters, reps);
-            let cells = (n * n * ba_iters) as f64;
-            rows.push(Row {
-                section: "blahut_arimoto",
-                threads,
-                fields: format!(
-                    "\"alphabet\": {n}, \"iterations\": {ba_iters}, \
-                     \"default_seconds\": {default:.6}, \
-                     \"default_cells_per_second\": {:.0}",
-                    cells / default
-                ),
-            });
+        for &(n, iterations) in sizes.ba {
+            bench_ba(&mut r, n, iterations);
         }
-
-        for &n in &mi_sizes {
-            let (mi, mel) = bench_leakage(n, reps);
-            rows.push(Row {
-                section: "leakage",
-                threads,
-                fields: format!(
-                    "\"alphabet\": {n}, \"mutual_information_seconds\": {mi:.6}, \
-                     \"min_entropy_leakage_seconds\": {mel:.6}"
-                ),
-            });
+        bench_ba_cache(&mut r, sizes.ba_cache);
+        for &n in sizes.channel {
+            bench_scale_channel(&mut r, n);
+            bench_realized_eps(&mut r, n);
         }
+        bench_mh(&mut r);
     }
     dplearn::parallel::set_thread_count(0);
-
-    println!("kernel stress results (median of {reps} reps):");
-    for r in &rows {
-        println!("  {:<16} threads={}  {}", r.section, r.threads, r.fields);
-    }
-
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"section\": \"{}\",\n      \"threads\": {},\n      {}\n    }}",
-                r.section, r.threads, r.fields
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"reps\": {reps},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \"sections\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    let path = std::env::var("DPLEARN_BENCH_KERNELS_JSON")
-        .unwrap_or_else(|_| "BENCH_kernels.json".to_string());
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    r.write()
 }

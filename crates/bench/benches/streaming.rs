@@ -1,46 +1,37 @@
-//! Streaming ingest and continual-release benchmark, with a
-//! machine-readable `BENCH_streaming.json` artifact.
+//! Streaming ingest and continual release. Writes `BENCH_streaming.json`
+//! (see the `dplearn_bench` crate docs for the smoke switch and the
+//! path).
 //!
-//! Three measurements:
-//!
-//! 1. Ingest throughput — append 10⁵ and 10⁶ records in fixed-size
-//!    batches into an exact-mode dataset (sorted-copy merge per append)
-//!    and a sketch-mode dataset (mergeable rank sketch). The sorted
-//!    copy pays O(n) per batch, so at 10⁶ records the sketch must be at
-//!    least 10× faster; CI enforces that on the JSON.
-//! 2. Rank fidelity — after the large ingest, the sketch's rank answers
-//!    at 21 probe points must stay within its *declared* worst-case
-//!    error of the exact dataset's sorted-scan answer.
-//! 3. Continual release latency — a tree-aggregation counter over a
-//!    4096-step horizon: per-release cost after each observation, plus
-//!    a bit-stability re-check of the whole release tape.
-//!
-//! Not a criterion harness: the run *is* the measurement, so CI can
-//! treat it as a smoke test and scrape the JSON. Results are written to
-//! `BENCH_streaming.json` (override via `DPLEARN_BENCH_STREAMING_JSON`);
-//! the large record count via `DPLEARN_BENCH_STREAM_RECORDS`.
+//! * `ingest` — append 10⁵ and 10⁶ records in 1000-record batches into
+//!   an exact-mode dataset (a sorted-copy merge per append) and a
+//!   sketch-mode one (a mergeable rank sketch). CI asserts the sketch is
+//!   at least 10× faster at 10⁶ records. After the large ingest the
+//!   sketch's rank answers at 21 probes must lie within its declared
+//!   worst-case error of the exact answers (asserted here and in CI).
+//! * `continual` — a tree-aggregation counter over a 4096-step horizon:
+//!   one release after each observation, then a bit-stability re-read
+//!   of the whole release tape (asserted here and in CI).
 
 use dplearn::engine::dataset::{Dataset, StatsMode};
 use dplearn::mechanisms::continual::TreeCounter;
 use dplearn::mechanisms::privacy::Epsilon;
+use dplearn_bench::{Report, Timing};
 use std::hint::black_box;
-use std::io::Write;
-use std::time::Instant;
 
 const BATCH: usize = 1_000;
 const SKETCH_K: usize = 200;
 const HORIZON: u64 = 4_096;
+const RECORDS: [usize; 2] = [100_000, 1_000_000];
+const RANK_PROBES: usize = 21;
 
 /// Deterministic in-domain record stream: value i of the workload.
 fn record(i: usize) -> f64 {
     ((i.wrapping_mul(2_654_435_761)) % 100_000) as f64 / 100_000.0
 }
 
-/// Append `total` records in `BATCH`-sized batches under `mode`;
-/// returns (seconds, the finished dataset).
-fn ingest(total: usize, mode: StatsMode) -> (f64, Dataset) {
+/// Append `total` records in [`BATCH`]-sized batches under `mode`.
+fn ingest(total: usize, mode: StatsMode) -> Dataset {
     let first: Vec<f64> = (0..BATCH).map(record).collect();
-    let start = Instant::now();
     let mut d = Dataset::with_mode("stream", first, 0.0, 1.0, mode).unwrap();
     let mut next = BATCH;
     while next < total {
@@ -49,104 +40,90 @@ fn ingest(total: usize, mode: StatsMode) -> (f64, Dataset) {
         next += batch.len();
         black_box(d.stats().count());
     }
-    let seconds = start.elapsed().as_secs_f64();
     assert_eq!(d.len(), total, "ingest must land every record");
-    (seconds, d)
+    d
 }
 
-/// Max |sketch rank − exact rank| over 21 evenly spaced probes.
+fn time_ingest(r: &Report, total: usize, mode: StatsMode) -> Timing {
+    r.time(|| {
+        black_box(ingest(total, mode));
+    })
+}
+
+/// Max |sketch rank − exact rank| over [`RANK_PROBES`] evenly spaced
+/// probes.
 fn rank_error(sketch: &Dataset, exact: &Dataset) -> u64 {
-    let mut worst = 0i128;
-    for i in 0..=20u32 {
-        let x = f64::from(i) / 20.0;
-        let got = sketch.stats().rank(x) as i128;
-        let truth = exact.stats().rank(x) as i128;
-        worst = worst.max((got - truth).abs());
-    }
-    worst as u64
+    (0..RANK_PROBES)
+        .map(|i| {
+            let x = i as f64 / (RANK_PROBES - 1) as f64;
+            sketch.stats().rank(x).abs_diff(exact.stats().rank(x)) as u64
+        })
+        .max()
+        .unwrap_or(0)
 }
 
-/// Observe `HORIZON` steps, timing one release after each; returns
-/// (ns per release, whether the full tape re-reads bit-identically).
-fn continual_latency(seed: u64) -> (f64, bool) {
+/// Observe [`HORIZON`] steps with one release after each; returns the
+/// release tape and the counter.
+fn continual(seed: u64) -> (Vec<f64>, TreeCounter) {
     let eps = Epsilon::new(0.5).unwrap();
     let mut counter = TreeCounter::new(eps, HORIZON, seed).unwrap();
-    let mut tape: Vec<f64> = Vec::with_capacity(HORIZON as usize);
-    let start = Instant::now();
-    for t in 0..HORIZON {
-        counter.observe((t % 7) + 1).unwrap();
-        tape.push(counter.release().unwrap());
-    }
-    let ns = start.elapsed().as_secs_f64() * 1e9 / HORIZON as f64;
-    let stable = tape
-        .iter()
-        .enumerate()
-        .all(|(j, &r)| counter.release_at(j as u64 + 1).unwrap().to_bits() == r.to_bits());
-    (ns, stable)
+    let tape = (0..HORIZON)
+        .map(|t| {
+            counter.observe((t % 7) + 1).unwrap();
+            counter.release().unwrap()
+        })
+        .collect();
+    (tape, counter)
 }
 
-fn main() {
-    let large: usize = std::env::var("DPLEARN_BENCH_STREAM_RECORDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000)
-        .max(100_000);
-    let small = 100_000usize;
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let configured_threads = dplearn::parallel::thread_count();
-    let sketch_mode = StatsMode::Sketch { k: SKETCH_K };
+fn main() -> std::io::Result<()> {
+    let mut r = Report::new("streaming", 3);
+    let sketch = StatsMode::Sketch { k: SKETCH_K };
+    for total in RECORDS {
+        let exact_seconds = time_ingest(&r, total, StatsMode::Exact);
+        let sketch_seconds = time_ingest(&r, total, sketch);
+        let (exact_ds, sketch_ds) = (ingest(total, StatsMode::Exact), ingest(total, sketch));
+        let err = rank_error(&sketch_ds, &exact_ds);
+        let bound = sketch_ds.stats().rank_error_bound();
+        assert!(
+            err <= bound,
+            "sketch rank error {err} exceeds declared bound {bound}"
+        );
+        r.section(
+            "ingest",
+            &[
+                ("records", total.into()),
+                ("batch", BATCH.into()),
+                ("sketch_k", SKETCH_K.into()),
+                ("exact_seconds", exact_seconds.into()),
+                ("sketch_seconds", sketch_seconds.into()),
+                ("rank_probes", RANK_PROBES.into()),
+                ("rank_error_max", err.into()),
+                ("rank_error_bound", bound.into()),
+                ("rank_within_bound", (err <= bound).into()),
+            ],
+        );
+    }
 
-    let (exact_small, _) = ingest(small, StatsMode::Exact);
-    let (sketch_small, _) = ingest(small, sketch_mode);
-    let (exact_large, exact_ds) = ingest(large, StatsMode::Exact);
-    let (sketch_large, sketch_ds) = ingest(large, sketch_mode);
-    let speedup_small = exact_small / sketch_small;
-    let speedup_large = exact_large / sketch_large;
-
-    let err = rank_error(&sketch_ds, &exact_ds);
-    let bound = sketch_ds.stats().rank_error_bound();
-    let within = err <= bound;
-
-    let (release_ns, release_stable) = continual_latency(0x5354_5245_414d);
-
-    println!(
-        "streaming: ingest {small} and {large} records in {BATCH}-record \
-         batches ({hardware_threads} hw threads, {configured_threads} configured)"
+    const SEED: u64 = 0x5354_5245_414d;
+    let release = r
+        .time(|| {
+            black_box(continual(SEED));
+        })
+        .scaled(1e9 / HORIZON as f64);
+    let (tape, counter) = continual(SEED);
+    let stable = tape
+        .iter()
+        .zip(1..)
+        .all(|(&v, t)| counter.release_at(t).unwrap().to_bits() == v.to_bits());
+    assert!(stable, "continual release tape drifted");
+    r.section(
+        "continual",
+        &[
+            ("horizon", HORIZON.into()),
+            ("release_ns", release.into()),
+            ("bit_stable", stable.into()),
+        ],
     );
-    println!("  {small:>8} records: exact {exact_small:.4} s, sketch {sketch_small:.4} s ({speedup_small:.1}x)");
-    println!("  {large:>8} records: exact {exact_large:.4} s, sketch {sketch_large:.4} s ({speedup_large:.1}x)");
-    println!("  rank error at {large} records: {err} (declared bound {bound}, within: {within})");
-    println!("  continual release over {HORIZON} steps: {release_ns:.0} ns/release, bit-stable: {release_stable}");
-    assert!(
-        within,
-        "sketch rank error {err} exceeds declared bound {bound}"
-    );
-    assert!(release_stable, "continual release tape drifted");
-
-    let json = format!(
-        "{{\n  \"bench\": \"streaming_ingest\",\n  \
-         \"batch\": {BATCH},\n  \"sketch_k\": {SKETCH_K},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"configured_threads\": {configured_threads},\n  \
-         \"records_small\": {small},\n  \
-         \"exact_small_seconds\": {exact_small:.6},\n  \
-         \"sketch_small_seconds\": {sketch_small:.6},\n  \
-         \"speedup_small\": {speedup_small:.2},\n  \
-         \"records_large\": {large},\n  \
-         \"exact_large_seconds\": {exact_large:.6},\n  \
-         \"sketch_large_seconds\": {sketch_large:.6},\n  \
-         \"speedup_large\": {speedup_large:.2},\n  \
-         \"rank_probes\": 21,\n  \
-         \"rank_error_max\": {err},\n  \
-         \"rank_error_bound\": {bound},\n  \
-         \"rank_within_bound\": {within},\n  \
-         \"continual_horizon\": {HORIZON},\n  \
-         \"continual_release_ns\": {release_ns:.1},\n  \
-         \"continual_release_bit_stable\": {release_stable}\n}}\n"
-    );
-    let path = std::env::var("DPLEARN_BENCH_STREAMING_JSON")
-        .unwrap_or_else(|_| "BENCH_streaming.json".to_string());
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(json.as_bytes()).unwrap();
-    println!("wrote {path}");
+    r.write()
 }

@@ -1,35 +1,30 @@
-//! Write-ahead-log overhead and recovery throughput, with a
-//! machine-readable `BENCH_wal.json` artifact.
+//! Write-ahead-log (WAL) overhead and recovery throughput. Writes
+//! `BENCH_wal.json` (see the `dplearn_bench` crate docs for the smoke
+//! switch and the path).
 //!
-//! Three measurements:
-//!
-//! 1. The engine's batch hot path with no WAL attached vs with an
-//!    in-memory WAL under `FsyncPolicy::EveryAppend` — the durability
-//!    tax on admission (one intent frame per admitted request, one
-//!    commit frame per executed one, all from sequential paths).
-//! 2. Raw frame append cost: CRC-framed encode + storage append, in
-//!    nanos per record.
-//! 3. Recovery throughput: `wal::replay` over a log of N
-//!    intent/commit pairs, and the full `Engine::recover` (replay plus
-//!    bit-exact ledger restoration), in records per second.
-//!
-//! Not a criterion harness: the run *is* the measurement, so CI can
-//! treat it as a smoke test and scrape the JSON. Results are written
-//! to `BENCH_wal.json` (override via `DPLEARN_BENCH_WAL_JSON`); log
-//! size via `DPLEARN_BENCH_WAL_RECORDS`.
+//! * `batch` (at 1 and 4 configured workers) — the engine's batch of
+//!   count requests with no WAL vs with an in-memory WAL under
+//!   `FsyncPolicy::EveryAppend`: the durability tax on admission (one
+//!   intent frame per admitted request, one commit frame per executed
+//!   one).
+//! * `append` — encoding a CRC-framed intent record and appending it to
+//!   storage, per record.
+//! * `recovery` — `wal::replay` over a log of one registration and N
+//!   intent/commit pairs, and the full `Engine::recover` (replay plus
+//!   ledger restoration).
 
 use dplearn::engine::engine::{Engine, EngineConfig};
 use dplearn::engine::request::{QueryKind, QueryRequest};
 use dplearn::engine::wal::{self, FsyncPolicy, MemoryWal, WalRecord, WalStorage};
 use dplearn::mechanisms::privacy::Budget;
+use dplearn_bench::{Report, Timing};
 use std::hint::black_box;
-use std::io::Write;
-use std::time::Instant;
 
 /// Generous enough that no request is ever rejected: rejections skip
 /// the intent append and would make the compared runs do different
 /// work.
 const CAP_EPS: f64 = 1e9;
+const REQUESTS: usize = 256;
 
 fn build_engine(with_wal: bool) -> Engine {
     let mut e = Engine::new(EngineConfig::default()).unwrap();
@@ -51,146 +46,111 @@ fn build_engine(with_wal: bool) -> Engine {
     e
 }
 
-fn build_batch(requests: usize) -> Vec<QueryRequest> {
-    (0..requests)
-        .map(|_| {
-            QueryRequest::new(
-                "shard0",
-                QueryKind::LaplaceCount {
-                    lo: 0.0,
-                    hi: 0.5,
-                    epsilon: 1e-3,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Median wall time of one full batch, in seconds.
-fn time_batch(batch: &[QueryRequest], reps: usize, with_wal: bool) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            // Fresh engine per rep: ledgers are charged by each run.
-            let mut engine = build_engine(with_wal);
-            let start = Instant::now();
+fn time_batch(r: &Report, batch: &[QueryRequest], with_wal: bool) -> Timing {
+    r.time_batched(
+        || build_engine(with_wal),
+        |engine| {
             let report = engine.run_batch(batch);
-            let dt = start.elapsed().as_secs_f64();
             assert_eq!(
                 report.executed(),
                 batch.len(),
                 "workload must execute fully for a fair measurement"
             );
             black_box(report);
-            dt
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+        },
+    )
 }
 
-/// A log image of one registration plus `pairs` intent/commit pairs —
+fn intent(seq: u64) -> Vec<u8> {
+    WalRecord::Intent {
+        seq,
+        dataset: "shard0".to_string(),
+        cost: Budget::new(1e-3, 0.0).unwrap(),
+    }
+    .encode_frame()
+    .unwrap()
+}
+
+/// A log image of one registration plus `pairs` intent/commit pairs:
 /// the shape a long-lived serving process leaves behind.
 fn build_log_image(pairs: usize) -> Vec<u8> {
-    let cap = Budget::new(CAP_EPS, 1e-6).unwrap();
-    let cost = Budget::new(1e-3, 0.0).unwrap();
-    let mut image = Vec::new();
-    image.extend_from_slice(
-        &WalRecord::DatasetRegistered {
-            dataset: "shard0".to_string(),
-            cap,
-        }
-        .encode_frame()
-        .unwrap(),
-    );
+    let mut image = WalRecord::DatasetRegistered {
+        dataset: "shard0".to_string(),
+        cap: Budget::new(CAP_EPS, 1e-6).unwrap(),
+    }
+    .encode_frame()
+    .unwrap();
     for seq in 0..pairs as u64 {
-        image.extend_from_slice(
-            &WalRecord::Intent {
-                seq,
-                dataset: "shard0".to_string(),
-                cost,
-            }
-            .encode_frame()
-            .unwrap(),
-        );
+        image.extend_from_slice(&intent(seq));
         image.extend_from_slice(&WalRecord::Commit { seq }.encode_frame().unwrap());
     }
     image
 }
 
-fn main() {
-    let pairs: usize = std::env::var("DPLEARN_BENCH_WAL_RECORDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    let requests = 256usize;
-    let reps = 5usize;
-    let batch = build_batch(requests);
+fn main() -> std::io::Result<()> {
+    let mut r = Report::new("wal", 5);
+    let pairs = if r.smoke() { 2_000 } else { 20_000 };
 
-    // 1. Durability tax on the batch hot path.
-    let no_wal = time_batch(&batch, reps, false);
-    let with_wal = time_batch(&batch, reps, true);
-    let overhead_percent = (with_wal - no_wal) / no_wal * 100.0;
-
-    // 2. Raw append cost: encode + CRC + storage append per record.
-    let cost = Budget::new(1e-3, 0.0).unwrap();
-    let mut storage = MemoryWal::new();
-    let start = Instant::now();
-    for seq in 0..pairs as u64 {
-        let frame = WalRecord::Intent {
-            seq,
-            dataset: "shard0".to_string(),
-            cost,
-        }
-        .encode_frame()
-        .unwrap();
-        storage.append(&frame).unwrap();
+    let batch: Vec<QueryRequest> = (0..REQUESTS)
+        .map(|_| {
+            let kind = QueryKind::LaplaceCount {
+                lo: 0.0,
+                hi: 0.5,
+                epsilon: 1e-3,
+            };
+            QueryRequest::new("shard0", kind)
+        })
+        .collect();
+    for threads in [1, 4] {
+        dplearn::parallel::set_thread_count(threads);
+        let no_wal = time_batch(&r, &batch, false);
+        let with_wal = time_batch(&r, &batch, true);
+        r.section(
+            "batch",
+            &[
+                ("requests", REQUESTS.into()),
+                ("no_wal_seconds", no_wal.into()),
+                ("wal_seconds", with_wal.into()),
+            ],
+        );
     }
-    let append_nanos = start.elapsed().as_secs_f64() * 1e9 / pairs as f64;
-    black_box(storage.bytes().len());
+    dplearn::parallel::set_thread_count(0);
 
-    // 3. Recovery throughput over a committed-pairs log.
+    let append = r.time(|| {
+        let mut storage = MemoryWal::new();
+        for seq in 0..pairs as u64 {
+            storage.append(&intent(seq)).unwrap();
+        }
+        black_box(storage.bytes().len());
+    });
+    r.section(
+        "append",
+        &[
+            ("records", pairs.into()),
+            ("ns_per_record", append.scaled(1e9 / pairs as f64).into()),
+        ],
+    );
+
     let image = build_log_image(pairs);
     let records = 1 + 2 * pairs;
-    let start = Instant::now();
-    let replayed = wal::replay(&image).unwrap();
-    let replay_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(replayed.records, records);
-    black_box(&replayed);
-    let replay_per_sec = records as f64 / replay_seconds;
-
-    let start = Instant::now();
-    let engine = Engine::recover(
-        EngineConfig::default(),
-        MemoryWal::from_bytes(image.clone()),
-    )
-    .unwrap();
-    let recover_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(engine.recovered_pending(), vec!["shard0"]);
-    black_box(&engine);
-
-    println!("wal durability: batch of {requests} laplace counts, log of {records} records");
-    println!("  no wal:   {no_wal:.6} s");
-    println!("  with wal: {with_wal:.6} s  ({overhead_percent:+.2}% durability tax)");
-    println!("  append:   {append_nanos:.1} ns/record");
-    println!(
-        "  replay:   {replay_seconds:.6} s  ({replay_per_sec:.0} records/s), \
-         full recover {recover_seconds:.6} s"
+    let replay = r.time(|| {
+        let replayed = wal::replay(&image).unwrap();
+        assert_eq!(replayed.records, records);
+        black_box(replayed);
+    });
+    let recover = r.time(|| {
+        let storage = MemoryWal::from_bytes(image.clone());
+        let engine = Engine::recover(EngineConfig::default(), storage).unwrap();
+        assert_eq!(engine.recovered_pending(), vec!["shard0"]);
+        black_box(engine);
+    });
+    r.section(
+        "recovery",
+        &[
+            ("log_records", records.into()),
+            ("replay_seconds", replay.into()),
+            ("recover_seconds", recover.into()),
+        ],
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"wal_durability\",\n  \
-         \"batch_requests\": {requests},\n  \"reps\": {reps},\n  \
-         \"no_wal_seconds\": {no_wal:.6},\n  \"wal_seconds\": {with_wal:.6},\n  \
-         \"wal_overhead_percent\": {overhead_percent:.4},\n  \
-         \"append_nanos\": {append_nanos:.2},\n  \
-         \"log_records\": {records},\n  \
-         \"replay_seconds\": {replay_seconds:.6},\n  \
-         \"replay_records_per_sec\": {replay_per_sec:.0},\n  \
-         \"recover_seconds\": {recover_seconds:.6}\n}}\n"
-    );
-    let path =
-        std::env::var("DPLEARN_BENCH_WAL_JSON").unwrap_or_else(|_| "BENCH_wal.json".to_string());
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(json.as_bytes()).unwrap();
-    println!("wrote {path}");
+    r.write()
 }

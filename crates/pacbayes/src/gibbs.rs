@@ -161,10 +161,6 @@ pub struct MetropolisGibbs<'a, F> {
     emp_risk: F,
     lambda: f64,
     cfg: MhConfig,
-    /// Opt-in reordered-sum fast path for the log-prior term (see
-    /// [`MetropolisGibbs::with_fast_log_prior`]). Defaults to `false`:
-    /// the bit-identical [`DiagGaussian::ln_pdf`].
-    fast_log_prior: bool,
 }
 
 impl<'a, F> MetropolisGibbs<'a, F>
@@ -186,34 +182,12 @@ where
             emp_risk,
             lambda,
             cfg,
-            fast_log_prior: false,
         })
-    }
-
-    /// Switch the log-prior term of the target to the vectorized
-    /// [`DiagGaussian::ln_pdf_fast`] accumulation (`true`) or back to the
-    /// bit-identical default [`DiagGaussian::ln_pdf`] (`false`).
-    ///
-    /// The fast accumulation reorders the per-coordinate sum, so chains
-    /// are **not** bit-identical to the default path — accept/reject
-    /// decisions near ties can flip. Both paths target the same Gibbs
-    /// posterior: the `kernel_fastpaths` suite pins the fast path to the
-    /// default by `audit_discrete_par` distribution-equivalence, per the
-    /// workspace pinning contract. Either setting is thread-count
-    /// invariant.
-    pub fn with_fast_log_prior(mut self, fast: bool) -> Self {
-        self.fast_log_prior = fast;
-        self
     }
 
     /// Unnormalized log target density.
     pub fn log_target(&self, theta: &[f64]) -> f64 {
-        let ln_prior = if self.fast_log_prior {
-            self.prior.ln_pdf_fast(theta)
-        } else {
-            self.prior.ln_pdf(theta)
-        };
-        ln_prior - self.lambda * (self.emp_risk)(theta)
+        self.prior.ln_pdf(theta) - self.lambda * (self.emp_risk)(theta)
     }
 
     /// Run the chain, returning samples and diagnostics.

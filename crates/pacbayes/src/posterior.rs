@@ -293,48 +293,6 @@ impl DiagGaussian {
             .sum()
     }
 
-    /// Log density at a point — the **reordered-sum fast path**.
-    ///
-    /// Accumulates the per-coordinate terms into four independent lanes
-    /// (plus a scalar remainder) so the compiler can vectorize the
-    /// `z²`/subtract sweep, then folds the lanes. Same terms as
-    /// [`DiagGaussian::ln_pdf`] in a different association, so the
-    /// result can differ in the last ulps. Per the workspace pinning
-    /// contract the fast path is opt-in (see
-    /// `MetropolisGibbs::with_fast_log_prior`) and pinned by
-    /// `audit_discrete_par` distribution-equivalence, not bit-identity.
-    pub fn ln_pdf_fast(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "ln_pdf_fast: dimension mismatch");
-        const LANES: usize = 4;
-        let half_ln_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        let mut lane = [0.0f64; LANES];
-        let mut xc = x.chunks_exact(LANES);
-        let mut mc = self.mean.chunks_exact(LANES);
-        let mut sc = self.std.chunks_exact(LANES);
-        let mut lc = self.ln_std.chunks_exact(LANES);
-        for (((xs, ms), ss), ls) in (&mut xc).zip(&mut mc).zip(&mut sc).zip(&mut lc) {
-            for ((acc, (&xi, &m)), (&s, &ln_s)) in lane
-                .iter_mut()
-                .zip(xs.iter().zip(ms))
-                .zip(ss.iter().zip(ls))
-            {
-                let z = (xi - m) / s;
-                *acc += -0.5 * z * z - ln_s - half_ln_2pi;
-            }
-        }
-        let mut total: f64 = lane.iter().sum();
-        for ((&xi, &m), (&s, &ln_s)) in xc
-            .remainder()
-            .iter()
-            .zip(mc.remainder())
-            .zip(sc.remainder().iter().zip(lc.remainder()))
-        {
-            let z = (xi - m) / s;
-            total += -0.5 * z * z - ln_s - half_ln_2pi;
-        }
-        total
-    }
-
     /// Draw a sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         self.mean
@@ -476,23 +434,6 @@ mod tests {
         let want = Gaussian::new(1.0, 2.0).unwrap().ln_pdf(0.0)
             + Gaussian::new(-1.0, 0.5).unwrap().ln_pdf(0.0);
         close(g.ln_pdf(&x), want, 1e-12);
-    }
-
-    #[test]
-    fn diag_gaussian_fast_ln_pdf_tracks_default_within_ulps() {
-        // Every length that exercises lane remainders 0..=3, with
-        // deterministic pseudo-random parameters.
-        let mut rng = Xoshiro256::seed_from(7);
-        for d in [1usize, 2, 3, 4, 5, 7, 8, 16, 33, 100] {
-            let mean: Vec<f64> = (0..d).map(|_| rng.next_open_f64() * 4.0 - 2.0).collect();
-            let std: Vec<f64> = (0..d).map(|_| rng.next_open_f64() + 0.1).collect();
-            let x: Vec<f64> = (0..d).map(|_| rng.next_open_f64() * 6.0 - 3.0).collect();
-            let g = DiagGaussian::new(mean, std).unwrap();
-            let slow = g.ln_pdf(&x);
-            let fast = g.ln_pdf_fast(&x);
-            let tol = 1e-12 * slow.abs().max(1.0);
-            close(fast, slow, tol);
-        }
     }
 
     #[test]

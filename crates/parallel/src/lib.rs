@@ -26,8 +26,9 @@
 //! condvar-parked workers (see [`pool`]'s module docs); the calling
 //! thread always participates in the work. Dispatch costs microseconds,
 //! not the thread-spawn milliseconds the original scoped-thread design
-//! paid per call — the fix for the `BENCH_hotpaths.json` regression
-//! where Blahut–Arimoto at `DPLEARN_THREADS=4` ran slower than serial.
+//! paid per call — the fix for the regression where Blahut–Arimoto at
+//! `DPLEARN_THREADS=4` ran slower than serial. `BENCH_kernels.json`'s
+//! `pool_dispatch` rows time a section at 1 and 4 workers.
 //! Parallel calls made from *inside* a parallel section degrade to
 //! serial execution (same results) instead of deadlocking.
 //!

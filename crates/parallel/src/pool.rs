@@ -5,8 +5,9 @@
 //! (the determinism contract never depended on who runs a chunk) but
 //! ruinously slow for iterative solvers: Blahut–Arimoto dispatches two
 //! parallel sections per iteration, and at thousands of iterations the
-//! per-call thread-spawn milliseconds dwarfed the numeric work — the
-//! `BENCH_hotpaths.json` regression where 4 workers ran *slower* than 1.
+//! per-call thread-spawn milliseconds dwarfed the numeric work, and 4
+//! workers ran *slower* than 1 (`BENCH_kernels.json`'s `pool_dispatch`
+//! rows time a pool section against a scoped-spawn replica).
 //!
 //! This module replaces spawn-per-call with a **lazily-initialized,
 //! process-wide pool** of condvar-parked workers:

@@ -186,6 +186,32 @@ fn shard_results_do_not_depend_on_other_shards_traffic() {
     }
 }
 
+#[test]
+fn a_tenant_that_only_sees_rejections_spends_exactly_zero() {
+    // Every request is over the cap, so each one is rejected at
+    // admission and none may leave a trace on the ledger.
+    const REQUESTS: usize = 512;
+    let mut serving = ServingLoop::new(config(4)).unwrap();
+    serving
+        .register_tenant("starved", values(64), 0.0, 1.0, cap(0.05))
+        .unwrap();
+    for _ in 0..REQUESTS {
+        serving.enqueue(count_req("starved", 0.5));
+    }
+    let mut rejected = 0;
+    while serving.queue_depth() > 0 {
+        let report = serving.tick_bounded(4_096);
+        assert_eq!(report.executed(), 0);
+        rejected += report.rejected();
+    }
+    assert_eq!(rejected, REQUESTS);
+    let ledger = serving.ledger("starved").unwrap();
+    let snap = ledger.snapshot();
+    assert_eq!(snap.spent.epsilon.to_bits(), 0.0f64.to_bits());
+    assert_eq!(snap.operations, 0);
+    assert_eq!(ledger.rejected(), REQUESTS as u64);
+}
+
 /// Build a fleet with per-shard crashable WALs under `plan`, run a
 /// fixed workload (2 tenants on distinct shards, 2 ticks + an SVT
 /// session on the victim), and return (fleet, per-shard durable
